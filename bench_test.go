@@ -508,52 +508,6 @@ func BenchmarkInterferenceModes(b *testing.B) {
 	}
 }
 
-// BenchmarkLivenessEngines measures building the liveness analysis and
-// answering the pinning-style query mix — every φ argument probed for
-// liveness at its predecessor's exit, the Class-2 pattern that
-// dominates Variable_kills — under the iterative fixed point and the
-// per-variable query engine. The dominator trees are prebuilt: in the
-// pipeline they come from the analysis cache (78% reuse on Table 2), so
-// their cost is not attributable to the liveness engine.
-func BenchmarkLivenessEngines(b *testing.B) {
-	for _, engine := range []liveness.Engine{liveness.EngineIterative, liveness.EngineQuery} {
-		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
-				b.StopTimer()
-				funcs := ssaSuite(b, name, true)
-				doms := make([]*cfg.DomTree, len(funcs))
-				for i, f := range funcs {
-					doms[i] = cfg.Dominators(f)
-				}
-				b.StartTimer()
-				hits := 0
-				for i := 0; i < b.N; i++ {
-					for fi, f := range funcs {
-						var l *liveness.Info
-						if engine == liveness.EngineQuery {
-							l = liveness.NewQuery(f, doms[fi])
-						} else {
-							l = liveness.Compute(f)
-						}
-						for _, blk := range f.Blocks() {
-							for _, phi := range blk.Phis() {
-								for pi, u := range phi.Uses() {
-									if pi < blk.NumPreds() && l.LiveOut(u.Val, blk.Pred(pi)) {
-										hits++
-									}
-								}
-							}
-						}
-					}
-				}
-				if hits < 0 {
-					b.Fatal("impossible")
-				}
-			})
-		}
-	}
-}
-
 // ---- SoA arena benchmarks (DESIGN.md §12) ----
 
 // sinkFunc keeps the cloned function observable so the compiler cannot
@@ -607,9 +561,8 @@ func BenchmarkSnapshot(b *testing.B) {
 // through the shared-nothing batch driver with copy-on-write job
 // builds: the Table 2 job matrix over the full workload, snapshotting
 // every job from a frozen master. funcs/sec is reported as a custom
-// metric; `ssabench -bench-throughput` records a committed run of the
-// same shape (plus the read-only analyze phase) in
-// BENCH_throughput.json.
+// metric; perfbench's tables workload measures the same driver end to
+// end.
 func BenchmarkBatchThroughput(b *testing.B) {
 	exps := []string{pipeline.ExpLphiC, pipeline.ExpC2, pipeline.ExpSphiC}
 	var masters []*ir.Func

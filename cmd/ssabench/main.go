@@ -30,16 +30,10 @@
 //	                                         # workload and check the outputs
 //	                                         # are byte-identical
 //
-// and for the liveness engines:
-//
-//	ssabench -liveness-engine=iterative      # force the fixed-point oracle
-//	ssabench -bench-liveness                 # time both liveness engines on a
-//	                                         # table workload, check the
-//	                                         # outputs byte-identical, and
-//	                                         # report query/recompute counters
-//
 // The JSONL event schema is documented in DESIGN.md; `go tool pprof`
-// reads the profiles.
+// reads the profiles. Throughput and per-layer timings of the batch
+// pipeline and of laocd come from perfbench (bash perfbench/run.sh),
+// not from ssabench.
 package main
 
 import (
@@ -57,7 +51,6 @@ import (
 
 	"outofssa/internal/analysis"
 	"outofssa/internal/interference"
-	"outofssa/internal/liveness"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
@@ -76,12 +69,6 @@ func main() {
 	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run to stderr at exit")
 	engineName := flag.String("interference-engine", "", "resource-interference engine: dominance (default) or pairwise (the O(k²) oracle)")
 	benchInterference := flag.Bool("bench-interference", false, "time the selected table workload (default: table 2) under both interference engines, check byte-identical output, and report the speedup")
-	livenessEngineName := flag.String("liveness-engine", "", "liveness engine: query (default) or iterative (the fixed-point oracle)")
-	benchLiveness := flag.Bool("bench-liveness", false, "time the selected table workload (default: table 2) under both liveness engines, check byte-identical output, and report the speedup plus query/recompute counters")
-	benchThroughput := flag.Bool("bench-throughput", false, "measure whole-pipeline functions/sec at parallel=1/2/4/8 over a mixed compile+analyze workload and record it with the copy-on-write counter deltas")
-	throughputOut := flag.String("throughput-out", "BENCH_throughput.json", "write the -bench-throughput report to `file`")
-	benchPersist := flag.Bool("bench-persist", false, "measure the b1-vs-v2 wire codec over the Table 2 corpus and a laocd cold-vs-warm restart cycle on a persistent cache store")
-	persistOut := flag.String("persist-out", "BENCH_persist.json", "write the -bench-persist report to `file`")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file` at exit")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, host stamp) to `file` at exit; cmd/perfgate compares these")
@@ -111,16 +98,6 @@ func main() {
 		interference.DefaultEngine = interference.EnginePairwise
 	default:
 		fail(fmt.Errorf("unknown -interference-engine %q (have: dominance, pairwise)", *engineName))
-	}
-
-	switch *livenessEngineName {
-	case "":
-	case "query":
-		liveness.DefaultEngine = liveness.EngineQuery
-	case "iterative":
-		liveness.DefaultEngine = liveness.EngineIterative
-	default:
-		fail(fmt.Errorf("unknown -liveness-engine %q (have: query, iterative)", *livenessEngineName))
 	}
 
 	if *list {
@@ -170,9 +147,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "analysis cache: liveness %d requests, %d computes, %d reused; dominators %d requests, %d computes, %d reused\n",
 				cs.LivenessRequests, cs.LivenessComputes, cs.LivenessReused,
 				cs.DominatorsRequests, cs.DominatorsComputes, cs.DominatorsReused)
-			fmt.Fprintf(os.Stderr, "liveness engine: %d full builds, %d revalidations (%d var walks kept, %d invalidated)\n",
-				cs.LivenessFullBuilds, cs.LivenessRevalidations,
-				cs.LivenessVarsKept, cs.LivenessVarsInvalidated)
 		}()
 	}
 
@@ -203,7 +177,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ssabench: serving metrics on http://%s/metrics\n", addr)
 			defer stop()
 		}
-		if *verifyMode && !*benchInterference && !*benchLiveness && !*benchThroughput && !*benchPersist {
+		if *verifyMode && !*benchInterference {
 			// Checked mode: cross-reference the registry's pass-counter
 			// mirror against an independent shadow sum of the trace-event
 			// counters. Any skew — a counter bumped without its event, or
@@ -236,26 +210,8 @@ func main() {
 		}
 	}
 
-	if *benchThroughput {
-		if err := runBenchThroughput(*throughputOut); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchPersist {
-		if err := runBenchPersist(*persistOut); err != nil {
-			fail(err)
-		}
-		return
-	}
 	if *benchInterference {
 		if err := runBenchInterference(*table); err != nil {
-			fail(err)
-		}
-		return
-	}
-	if *benchLiveness {
-		if err := runBenchLiveness(*table); err != nil {
 			fail(err)
 		}
 		return
@@ -406,105 +362,5 @@ func runBenchInterference(table int) error {
 	}
 	fmt.Printf("outputs: byte-identical\nspeedup (pairwise/dominance, best-of-%d wall): %.2fx\n",
 		reps, float64(rp.best)/float64(rd.best))
-	return nil
-}
-
-// runBenchLiveness times the selected table workload under the
-// iterative fixed-point engine and the query engine, requires their
-// table outputs to be byte-identical (the CI engine-agreement gate),
-// and reports the wall-clock ratio, the per-pass liveness query
-// counters, and the analysis-cache build/revalidation deltas per
-// engine.
-func runBenchLiveness(table int) error {
-	if table == 0 {
-		table = 2
-	}
-	run, ok := tableRunners[table]
-	if !ok {
-		return fmt.Errorf("-bench-liveness needs a pipeline table (2-5), got %d", table)
-	}
-	fmt.Printf("host: %s\n", obs.HostInfo())
-	// Five repetitions, engines interleaved (iterative, query,
-	// iterative, ...) with a forced GC before each timed sample: the
-	// engines differ by a few percent of the whole-pipeline wall, so
-	// back-to-back per-engine batches would fold machine drift and
-	// leftover heap into the comparison.
-	const reps = 5
-	type result struct {
-		best   time.Duration
-		all    []time.Duration
-		output string
-		cs     *counterSum
-		// Analysis-cache deltas of the first repetition: how many times
-		// a liveness request rebuilt the whole Info vs revalidated it.
-		computes, fullBuilds, revals, kept, dropped uint64
-	}
-	prev := liveness.DefaultEngine
-	defer func() { liveness.DefaultEngine = prev }()
-
-	engines := []liveness.Engine{liveness.EngineIterative, liveness.EngineQuery}
-	results := make(map[liveness.Engine]*result, len(engines))
-	for _, e := range engines {
-		results[e] = &result{}
-	}
-	for i := 0; i < reps; i++ {
-		for _, e := range engines {
-			liveness.DefaultEngine = e
-			r := results[e]
-			cs := newCounterSum()
-			before := analysis.Stats()
-			runtime.GC()
-			start := time.Now()
-			t, err := run(cs)
-			d := time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine %s: %v", e, err)
-			}
-			r.all = append(r.all, d)
-			if r.best == 0 || d < r.best {
-				r.best = d
-			}
-			if i == 0 {
-				after := analysis.Stats()
-				r.output, r.cs = t.String(), cs
-				r.computes = after.LivenessComputes - before.LivenessComputes
-				r.fullBuilds = after.LivenessFullBuilds - before.LivenessFullBuilds
-				r.revals = after.LivenessRevalidations - before.LivenessRevalidations
-				r.kept = after.LivenessVarsKept - before.LivenessVarsKept
-				r.dropped = after.LivenessVarsInvalidated - before.LivenessVarsInvalidated
-			} else if t.String() != r.output {
-				return fmt.Errorf("engine %s: table %d output differs between repetitions", e, table)
-			}
-		}
-	}
-	for _, e := range engines {
-		r := results[e]
-		fmt.Printf("engine %-9s table %d: best %v of", e, table, r.best.Round(time.Millisecond))
-		for _, d := range r.all {
-			fmt.Printf(" %v", d.Round(time.Millisecond))
-		}
-		fmt.Println()
-		fmt.Printf("  %-32s %12d\n  %-32s %12d (%d var walks kept, %d invalidated)\n",
-			"liveness full Info builds", r.fullBuilds,
-			"liveness revalidations", r.revals, r.kept, r.dropped)
-		for _, suffix := range []string{
-			"Interference.LiveQueryHits", "Interference.LiveQueryMisses",
-			"Interference.LiveVarRecomputes",
-		} {
-			fmt.Printf("  %-32s %12d\n", suffix, r.cs.sumSuffix(suffix))
-		}
-	}
-
-	ri, rq := results[liveness.EngineIterative], results[liveness.EngineQuery]
-	if ri.output != rq.output {
-		return fmt.Errorf("table %d output DIVERGES between liveness engines — correctness bug", table)
-	}
-	if ri.computes > 0 && rq.fullBuilds > 0 {
-		fmt.Printf("full-Info recomputations: %d iterative -> %d query (%.1f%% reduction)\n",
-			ri.computes, rq.fullBuilds,
-			100*(1-float64(rq.fullBuilds)/float64(ri.computes)))
-	}
-	fmt.Printf("outputs: byte-identical\nspeedup (iterative/query, best-of-%d wall): %.2fx\n",
-		reps, float64(ri.best)/float64(rq.best))
 	return nil
 }

@@ -19,9 +19,9 @@
 // at, so a snapshot fanned out read-only across workers serves cache
 // hits lock-free; a per-slot mutex single-flights the compute on a
 // miss. Concurrent use requires the function itself to be read-only
-// while shared (the batch driver's ownership rule); functions marked
-// ir.Func.MarkSharedRead additionally get frozen (precompute-complete)
-// liveness engines, since the lazy query engine self-fills on reads.
+// while shared (the batch driver's ownership rule); the cached
+// liveness.Info and cfg.DomTree are immutable once built, so sharing
+// them needs no further step.
 //
 // Liveness and dominators are cached today; further analyses (def-use
 // chains, dominance frontiers) slot in by adding a field to memo and an
@@ -41,9 +41,8 @@ import (
 // memo is the per-function cache stored in the function's analysis
 // slot. Each slot publishes immutable entries through an atomic
 // pointer — the lock-free hit path — and owns a mutex that
-// single-flights the compute on a miss. The mutexes are separate
-// because a liveness build calls Dominators while holding liveMu; a
-// single memo-wide lock would self-deadlock there.
+// single-flights the compute on a miss. The mutexes are separate so a
+// liveness compute never holds up a dominator request.
 type memo struct {
 	live   atomic.Pointer[liveEntry]
 	liveMu sync.Mutex
@@ -53,13 +52,11 @@ type memo struct {
 }
 
 // liveEntry is one published liveness result: the Info plus the
-// generation pair and engine it was computed under. Entries are
-// immutable after publication; revalidation publishes a fresh entry.
+// generation it was computed at. Entries are immutable after
+// publication; a recompute publishes a fresh entry.
 type liveEntry struct {
-	gen    uint64
-	cfgGen uint64
-	engine liveness.Engine
-	info   *liveness.Info
+	gen  uint64
+	info *liveness.Info
 }
 
 type domEntry struct {
@@ -82,18 +79,6 @@ type CacheStats struct {
 	LivenessComputes uint64
 	LivenessReused   uint64
 
-	// A liveness compute is either a full build (iterative fixed point,
-	// or a from-scratch query-engine construction) or an incremental
-	// revalidation of a query-engine Info after a code-only mutation:
-	// LivenessComputes = LivenessFullBuilds + LivenessRevalidations.
-	// VarsKept/VarsInvalidated split the per-variable memos across all
-	// revalidations: kept walks cost nothing to reuse, invalidated ones
-	// are recomputed lazily on their next query.
-	LivenessFullBuilds      uint64
-	LivenessRevalidations   uint64
-	LivenessVarsKept        uint64
-	LivenessVarsInvalidated uint64
-
 	DominatorsRequests uint64
 	DominatorsComputes uint64
 	DominatorsReused   uint64
@@ -107,26 +92,18 @@ type CacheStats struct {
 // free. CacheStats/Stats/ResetStats remain the stable programmatic
 // API.
 var (
-	cLiveRequests  = metrics.Default.Counter("laoc_analysis_liveness_requests_total")
-	cLiveComputes  = metrics.Default.Counter("laoc_analysis_liveness_computes_total")
-	cLiveReused    = metrics.Default.Counter("laoc_analysis_liveness_reused_total")
-	cLiveFull      = metrics.Default.Counter("laoc_analysis_liveness_full_builds_total")
-	cLiveReval     = metrics.Default.Counter("laoc_analysis_liveness_revalidations_total")
-	cLiveVarsKept  = metrics.Default.Counter("laoc_analysis_liveness_var_walks_kept_total")
-	cLiveVarsInval = metrics.Default.Counter("laoc_analysis_liveness_var_walks_invalidated_total")
-	cDomRequests   = metrics.Default.Counter("laoc_analysis_dominators_requests_total")
-	cDomComputes   = metrics.Default.Counter("laoc_analysis_dominators_computes_total")
-	cDomReused     = metrics.Default.Counter("laoc_analysis_dominators_reused_total")
+	cLiveRequests = metrics.Default.Counter("laoc_analysis_liveness_requests_total")
+	cLiveComputes = metrics.Default.Counter("laoc_analysis_liveness_computes_total")
+	cLiveReused   = metrics.Default.Counter("laoc_analysis_liveness_reused_total")
+	cDomRequests  = metrics.Default.Counter("laoc_analysis_dominators_requests_total")
+	cDomComputes  = metrics.Default.Counter("laoc_analysis_dominators_computes_total")
+	cDomReused    = metrics.Default.Counter("laoc_analysis_dominators_reused_total")
 )
 
 func init() {
 	metrics.Default.SetHelp("laoc_analysis_liveness_requests_total", "Liveness analysis requests (computes + reuses).")
-	metrics.Default.SetHelp("laoc_analysis_liveness_computes_total", "Liveness computes: full builds + incremental revalidations.")
+	metrics.Default.SetHelp("laoc_analysis_liveness_computes_total", "Liveness fixed points computed.")
 	metrics.Default.SetHelp("laoc_analysis_liveness_reused_total", "Liveness requests served from the per-function memo.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_full_builds_total", "Liveness Infos built from scratch.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_revalidations_total", "Query-engine Infos revalidated incrementally after code-only mutations.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_var_walks_kept_total", "Memoized per-variable walks kept across revalidations.")
-	metrics.Default.SetHelp("laoc_analysis_liveness_var_walks_invalidated_total", "Memoized per-variable walks dropped by revalidations.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_requests_total", "Dominator tree requests.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_computes_total", "Dominator trees computed.")
 	metrics.Default.SetHelp("laoc_analysis_dominators_reused_total", "Dominator requests served from the per-function memo.")
@@ -135,24 +112,20 @@ func init() {
 // Stats returns a snapshot of the package-wide cache counters.
 func Stats() CacheStats {
 	return CacheStats{
-		LivenessRequests:        uint64(cLiveRequests.Value()),
-		LivenessComputes:        uint64(cLiveComputes.Value()),
-		LivenessReused:          uint64(cLiveReused.Value()),
-		LivenessFullBuilds:      uint64(cLiveFull.Value()),
-		LivenessRevalidations:   uint64(cLiveReval.Value()),
-		LivenessVarsKept:        uint64(cLiveVarsKept.Value()),
-		LivenessVarsInvalidated: uint64(cLiveVarsInval.Value()),
-		DominatorsRequests:      uint64(cDomRequests.Value()),
-		DominatorsComputes:      uint64(cDomComputes.Value()),
-		DominatorsReused:        uint64(cDomReused.Value()),
+		LivenessRequests:   uint64(cLiveRequests.Value()),
+		LivenessComputes:   uint64(cLiveComputes.Value()),
+		LivenessReused:     uint64(cLiveReused.Value()),
+		DominatorsRequests: uint64(cDomRequests.Value()),
+		DominatorsComputes: uint64(cDomComputes.Value()),
+		DominatorsReused:   uint64(cDomReused.Value()),
 	}
 }
 
 // ResetStats zeroes the package-wide cache counters.
 func ResetStats() {
 	for _, c := range []*metrics.Counter{
-		cLiveRequests, cLiveComputes, cLiveReused, cLiveFull, cLiveReval,
-		cLiveVarsKept, cLiveVarsInval, cDomRequests, cDomComputes, cDomReused,
+		cLiveRequests, cLiveComputes, cLiveReused,
+		cDomRequests, cDomComputes, cDomReused,
 	} {
 		c.Reset()
 	}
@@ -166,9 +139,8 @@ func ResetStats() {
 func Liveness(f *ir.Func) *liveness.Info {
 	m := memoOf(f)
 	gen := f.Generation()
-	eng := liveness.DefaultEngine
 	cLiveRequests.Inc()
-	if e := m.live.Load(); e != nil && e.gen == gen && e.engine == eng {
+	if e := m.live.Load(); e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
@@ -176,41 +148,14 @@ func Liveness(f *ir.Func) *liveness.Info {
 	defer m.liveMu.Unlock()
 	// Double-check under the single-flight lock: a racing reader may have
 	// computed and published the entry while we waited.
-	if e := m.live.Load(); e != nil && e.gen == gen && e.engine == eng {
+	if e := m.live.Load(); e != nil && e.gen == gen {
 		cLiveReused.Inc()
 		return e.info
 	}
 	cLiveComputes.Inc()
-	ne := &liveEntry{gen: gen, engine: eng}
-	if eng == liveness.EngineQuery {
-		ne.cfgGen = f.CFGGeneration()
-		if e := m.live.Load(); e != nil && e.engine == eng && e.cfgGen == ne.cfgGen && e.info.Incremental() {
-			// Code-only mutation under an unchanged CFG: revalidate the
-			// per-variable summaries and keep every walk whose summary is
-			// unchanged instead of rebuilding the whole engine. Only an
-			// exclusive owner can get here (a mutation happened), so
-			// recycling the old entry's storage is safe.
-			live, kept, dropped := e.info.Revalidate()
-			ne.info = live
-			cLiveReval.Inc()
-			cLiveVarsKept.Add(int64(kept))
-			cLiveVarsInval.Add(int64(dropped))
-		} else {
-			ne.info = liveness.NewQuery(f, Dominators(f))
-			cLiveFull.Inc()
-		}
-	} else {
-		ne.info = liveness.Compute(f)
-		cLiveFull.Inc()
-	}
-	if f.SharedRead() {
-		// The function is fanned out read-only across goroutines: the
-		// lazy query engine self-fills on reads, so precompute everything
-		// and publish a frozen, purely-read-only Info.
-		ne.info.Freeze()
-	}
-	m.live.Store(ne)
-	return ne.info
+	e := &liveEntry{gen: gen, info: liveness.Compute(f)}
+	m.live.Store(e)
+	return e.info
 }
 
 // Dominators returns the dominator tree of f under the same memoization
@@ -234,8 +179,6 @@ func Dominators(f *ir.Func) *cfg.DomTree {
 		return e.tree
 	}
 	cDomComputes.Inc()
-	// DomTree is immutable after construction (pure array reads), so it
-	// needs no freezing to be shared.
 	e := &domEntry{cfgGen: gen, tree: cfg.Dominators(f)}
 	m.dom.Store(e)
 	return e.tree

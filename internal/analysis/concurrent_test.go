@@ -13,8 +13,8 @@ import (
 )
 
 // TestConcurrentReadersOneSnapshot is the -race proof for the
-// concurrent-read analysis cache: 8+ goroutines share ONE snapshot
-// marked for shared reads and hammer Liveness, Dominators and point
+// concurrent-read analysis cache: 8+ goroutines share ONE plain
+// snapshot of a frozen master and hammer Liveness, Dominators and point
 // queries simultaneously. Every goroutine must observe the same
 // memoized Info/DomTree pointers (atomic publication, single-flight
 // compute) and identical query answers; the memo counters must show
@@ -28,13 +28,11 @@ func TestConcurrentReadersOneSnapshot(t *testing.T) {
 	ssa.MustBuild(master)
 	master.Freeze()
 	snap := master.Snapshot()
-	snap.MarkSharedRead()
 
-	// Reference answers on an identical function, also shared-read: the
-	// goroutines query both sides, so both Infos must be frozen.
+	// Reference answers on an identical function, computed before the
+	// fan-out; every goroutine reads them too.
 	ref := testprog.NestedLoops()
 	ssa.MustBuild(ref)
-	ref.MarkSharedRead()
 	refLive := analysis.Liveness(ref)
 	refDom := analysis.Dominators(ref)
 
@@ -133,7 +131,7 @@ func TestReadOnlyPipelinePassZeroCopies(t *testing.T) {
 	}
 }
 
-// TestBatchSharedSnapshotRace fans one shared-read snapshot through the
+// TestBatchSharedSnapshotRace fans one shared snapshot through the
 // batch driver's own concurrency shape: every job reads the same
 // snapshot (analysis + counts) while the driver schedules across
 // shards. Run under -race this covers the pipeline-side read path the
@@ -143,7 +141,6 @@ func TestBatchSharedSnapshotRace(t *testing.T) {
 	ssa.MustBuild(master)
 	master.Freeze()
 	shared := master.Snapshot()
-	shared.MarkSharedRead()
 
 	// A full pipeline run would mutate its input, so the fan-out drives
 	// the read-only half of a job (analysis + censuses) directly with

@@ -3,10 +3,11 @@
 // verifier to notice, InjectCOWAliasing attacks the copy-on-write
 // isolation invariant directly — it mutates a materialized copy and
 // checks the parent snapshot's arena bytes byte-for-byte (and the
-// reverse direction), using ir.Func.ArenaChecksum as the witness. The
-// checked pipeline runs it on every entry function, so a COW fault
-// that silently shares a slab fails loudly as a pass error instead of
-// corrupting a sibling job.
+// reverse direction), using ir.Func.ArenaChecksum as the witness. It is
+// a test fixture for internal/ir, not a per-request check: the
+// faultinject and ir test suites run it (under -race in CI) against
+// healthy IR and against a hand-forged aliasing bug, and the pipeline
+// never calls it.
 package faultinject
 
 import (

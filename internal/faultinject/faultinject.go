@@ -55,12 +55,12 @@ const (
 	MisplacedPhi Class = "misplaced-phi"
 	// StaleVarLiveness swaps two φ arguments across predecessor slots,
 	// choosing a pair where one argument's definition does not dominate
-	// the other's slot — the shape of a bug whose per-variable liveness
-	// summaries go stale: the moved use extends one variable's live
-	// range into a region its memoized walk never covered, while every
-	// block, pin and instruction count stays plausible. Injected
-	// silently, cached query-engine Infos keep answering from the old
-	// walks; caught by the SSA φ-argument dominance check.
+	// the other's slot — the shape of a bug whose cached liveness goes
+	// stale: the moved use extends one variable's live range into a
+	// region the cached Info never covered, while every block, pin and
+	// instruction count stays plausible. Injected silently, a cached
+	// Info keeps answering from the old live ranges; caught by the SSA
+	// φ-argument dominance check.
 	StaleVarLiveness Class = "stale-var-liveness"
 )
 

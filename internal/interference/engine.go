@@ -450,9 +450,7 @@ func (g *ResourceGraph) killedSweep(root ir.ValueID) *bitset.Set {
 
 	// Class 2: a φ member's replacement move at the end of predecessor i
 	// clobbers every member live out of that predecessor other than the
-	// incoming argument (the lost-copy self-kill included). Point queries
-	// per member rather than an intersection with the dense live-out set:
-	// under the query engine only the members' own walks are consulted.
+	// incoming argument (the lost-copy self-kill included).
 	for _, m := range members {
 		if f.IsPhys(m) {
 			continue
@@ -607,8 +605,7 @@ func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
 	}
 
 	// Class 2 across the merge: a φ member of one class clobbering an
-	// alive member of the other at a predecessor exit. Point queries per
-	// victim keep the query engine on its memoized per-variable walks.
+	// alive member of the other at a predecessor exit.
 	phiClobbers := func(members []ir.ValueID, victims *bitset.Set) bool {
 		for _, m := range members {
 			if f.IsPhys(m) {

@@ -63,13 +63,6 @@ type Counters struct {
 	// served from the generation-keyed memo without recomputation.
 	KilledMemoHits    int64
 	InterfereMemoHits int64
-	// LiveQueryHits/Misses/VarRecomputes report the traffic this analysis
-	// drove into the query-based liveness engine (zero under the
-	// iterative engine): memo-served point/set queries, queries that had
-	// to compute first, and the per-variable walks actually executed.
-	LiveQueryHits     int64
-	LiveQueryMisses   int64
-	LiveVarRecomputes int64
 }
 
 // Analysis answers variable-level interference queries on an SSA
@@ -94,37 +87,23 @@ type Analysis struct {
 	laBuilt []bool // block ID -> snapshots built
 	laPool  bitset.Pool
 
-	// liveBase is the liveness engine's counter state when this analysis
-	// was created; Counters reports the delta, so per-pass traces stay
-	// deterministic even though the Info (and its counters) is shared
-	// across passes by the analysis cache.
-	liveBase liveness.QueryStats
-
 	c Counters
 }
 
 // Counters returns a snapshot of the query counters accumulated so far.
-func (a *Analysis) Counters() Counters {
-	c := a.c
-	qs := a.live.QueryStats()
-	c.LiveQueryHits = qs.Hits - a.liveBase.Hits
-	c.LiveQueryMisses = qs.Misses - a.liveBase.Misses
-	c.LiveVarRecomputes = qs.VarRecomputes - a.liveBase.VarRecomputes
-	return c
-}
+func (a *Analysis) Counters() Counters { return a.c }
 
 // New builds an analysis. live and dom must describe the current f.
 func New(f *ir.Func, live *liveness.Info, dom *cfg.DomTree, mode Mode) *Analysis {
 	a := &Analysis{
-		fn:       f,
-		live:     live,
-		dom:      dom,
-		mode:     mode,
-		defs:     make([]*ir.Instr, f.NumValues()),
-		defIdx:   make([]int, f.NumValues()),
-		laSnap:   make(map[*ir.Instr][]int32),
-		laBuilt:  make([]bool, f.NumBlocks()),
-		liveBase: live.QueryStats(),
+		fn:      f,
+		live:    live,
+		dom:     dom,
+		mode:    mode,
+		defs:    make([]*ir.Instr, f.NumValues()),
+		defIdx:  make([]int, f.NumValues()),
+		laSnap:  make(map[*ir.Instr][]int32),
+		laBuilt: make([]bool, f.NumBlocks()),
 	}
 	for _, b := range f.Blocks() {
 		for idx, in := range b.Instrs() {
@@ -357,8 +336,7 @@ type PinSite struct {
 // live across the instruction — values defined by the instruction itself
 // are born after the clobber, and values dying at the instruction are
 // rescued locally by the translator. The live-across test goes through
-// the analysis' lazy snapshots (and, under the query engine, its
-// memoized per-variable walks) instead of an eagerly stored set.
+// the analysis' lazy snapshots instead of an eagerly stored set.
 func (s PinSite) kills(an *Analysis, m ir.ValueID) bool {
 	return m != s.Val && an.liveAfterHas(s.In, m) && !s.In.HasDef(m)
 }

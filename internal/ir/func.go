@@ -75,10 +75,6 @@ type Func struct {
 	sharedCode  bool
 	sharedEdges bool
 	cowTouched  bool
-	// sharedRead declares the Func read-only and fanned out across
-	// goroutines (see MarkSharedRead); analysis publishes frozen query
-	// structures for such functions.
-	sharedRead bool
 }
 
 // NewFunc creates an empty function with a fresh ST120-like target.

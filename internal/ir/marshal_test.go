@@ -2,6 +2,7 @@ package ir_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"outofssa/internal/ir"
@@ -13,30 +14,11 @@ import (
 )
 
 // roundTrip marshals, unmarshals and re-marshals f through both wire
-// schemas, failing on any decode error or byte drift. The v1 document
-// must decode to the same function as the v2 one — the schemas are
+// schemas, failing on any decode error or byte drift. The v1 and b1
+// documents must decode to the same function — the schemas are
 // interchangeable on the wire.
-func roundTrip(t *testing.T, f *ir.Func) *ir.Func {
+func roundTrip(t *testing.T, f *ir.Func) {
 	t.Helper()
-	data, err := ir.Marshal(f)
-	if err != nil {
-		t.Fatalf("%s: Marshal: %v", f.Name, err)
-	}
-	g, err := ir.Unmarshal(data)
-	if err != nil {
-		t.Fatalf("%s: Unmarshal: %v", f.Name, err)
-	}
-	if got, want := g.String(), f.String(); got != want {
-		t.Fatalf("%s: decoded function prints differently:\n--- original\n%s\n--- decoded\n%s", f.Name, want, got)
-	}
-	data2, err := ir.Marshal(g)
-	if err != nil {
-		t.Fatalf("%s: re-Marshal: %v", f.Name, err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Fatalf("%s: v2 encoding is not a fixed point of the round trip", f.Name)
-	}
-
 	v1, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatalf("%s: MarshalV1: %v", f.Name, err)
@@ -84,16 +66,14 @@ func roundTrip(t *testing.T, f *ir.Func) *ir.Func {
 		t.Fatalf("%s: b1 encoding is not a fixed point of the round trip", f.Name)
 	}
 	// Cross-schema: the b1-decoded function must re-encode to the very
-	// same v2 bytes as the original — the schemas are views of one
-	// arena document.
-	vx, err := ir.Marshal(gb)
+	// same v1 bytes as the original.
+	vx, err := ir.MarshalV1(gb)
 	if err != nil {
-		t.Fatalf("%s: Marshal(b1-decoded): %v", f.Name, err)
+		t.Fatalf("%s: MarshalV1(b1-decoded): %v", f.Name, err)
 	}
-	if !bytes.Equal(data, vx) {
-		t.Fatalf("%s: b1-decoded function re-encodes to different v2 bytes", f.Name)
+	if !bytes.Equal(v1, vx) {
+		t.Fatalf("%s: b1-decoded function re-encodes to different v1 bytes", f.Name)
 	}
-	return g
 }
 
 // TestMarshalRoundTripSuites round-trips every workload suite function,
@@ -119,7 +99,7 @@ func TestMarshalPipelineIdentity(t *testing.T) {
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		f := testprog.Rand(seed, testprog.RandOptions{MaxDepth: 4, Vars: 4, StmtsPerBlock: 4, Calls: true, Stack: true})
-		data, err := ir.Marshal(f)
+		data, err := ir.MarshalBinary(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,15 +120,11 @@ func TestMarshalPipelineIdentity(t *testing.T) {
 	}
 }
 
-// TestMarshalRejects pins the decoder's validation on both schemas: bad
-// schema tag, unknown op, out-of-range handle, and a corrupted arena
-// all fail loudly.
+// TestMarshalRejects pins the v1 decoder's validation: bad schema tag,
+// unknown op and out-of-range handle all fail loudly, and so does a
+// document tagged with the retired laoc-ir-v2 arena schema.
 func TestMarshalRejects(t *testing.T) {
 	f, err := lai.Parse(".func f\n.input A:R0\nadd B, A, A\nret B\n.endfunc\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := ir.Marshal(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +137,8 @@ func TestMarshalRejects(t *testing.T) {
 		doc      []byte
 		old, new string
 	}{
-		{"v2-schema", v2, `"laoc-ir-v2"`, `"laoc-ir-v9"`},
-		{"v2-op", v2, `"instrs":[34,`, `"instrs":[9934,`},
-		{"v2-operand", v2, `"ops":[25,`, `"ops":[9925,`},
 		{"v1-schema", v1, `"laoc-ir-v1"`, `"laoc-ir-v9"`},
+		{"v2-schema", v1, `"laoc-ir-v1"`, `"laoc-ir-v2"`},
 		{"v1-op", v1, `"add"`, `"frob"`},
 		{"v1-value-id", v1, `[[25,0]]`, `[[999,0]]`},
 	} {
@@ -179,7 +153,8 @@ func TestMarshalRejects(t *testing.T) {
 	if _, err := ir.Unmarshal([]byte(`{"schema":"laoc-ir-v1","name":"f","values":[],"blocks":[]}`)); err == nil {
 		t.Error("empty v1 document decoded without error")
 	}
-	if _, err := ir.Unmarshal([]byte(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":[],"blocks":[],"order":[]}`)); err == nil {
-		t.Error("empty v2 document decoded without error")
+	_, err = ir.Unmarshal([]byte(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":[],"blocks":[],"order":[]}`))
+	if err == nil || !strings.Contains(err.Error(), "unknown schema") {
+		t.Errorf("v2 document: got %v, want an unknown-schema error", err)
 	}
 }

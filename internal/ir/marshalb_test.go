@@ -110,20 +110,19 @@ func TestBinaryAppend(t *testing.T) {
 	}
 }
 
-// TestDetectSchema pins the negotiation helper on all three schemas
-// plus junk.
+// TestDetectSchema pins the negotiation helper on both schemas plus
+// junk, including the retired laoc-ir-v2 tag.
 func TestDetectSchema(t *testing.T) {
 	f := exampleFunc(t)
-	v2, _ := ir.Marshal(f)
 	v1, _ := ir.MarshalV1(f)
 	b1, _ := ir.MarshalBinary(f)
 	for _, tc := range []struct {
 		data []byte
 		want string
 	}{
-		{v2, ir.WireSchemaV2},
 		{v1, ir.WireSchemaV1},
 		{b1, ir.WireSchemaB1},
+		{[]byte(`{"schema":"laoc-ir-v2"}`), ""},
 		{[]byte(`{"schema":"laoc-ir-v9"}`), ""},
 		{[]byte("laoc-ir-b9\x00junk"), ""},
 		{[]byte("not even close"), ""},
@@ -136,16 +135,13 @@ func TestDetectSchema(t *testing.T) {
 }
 
 // FuzzWireRoundTrip feeds arbitrary bytes to Unmarshal; whenever they
-// decode, the function must re-encode in all three schemas, each
-// re-decode to the same print, and the arena schemas (v2, b1) must be
-// byte fixed points — the cross-decode discipline that keeps the
-// schemas interchangeable on the wire and on disk.
+// decode, the function must re-encode in both schemas, each re-decode
+// to the same print, and both encodings must be byte fixed points —
+// the cross-decode discipline that keeps the schemas interchangeable
+// on the wire and on disk.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, s := range workload.All() {
 		fn := s.Funcs[0]
-		if v2, err := ir.Marshal(fn); err == nil {
-			f.Add(v2)
-		}
 		if v1, err := ir.MarshalV1(fn); err == nil {
 			f.Add(v1)
 		}
@@ -154,6 +150,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		g := fn.Clone()
 		ssa.MustBuild(g)
+		if v1, err := ir.MarshalV1(g); err == nil {
+			f.Add(v1)
+		}
 		if b1, err := ir.MarshalBinary(g); err == nil {
 			f.Add(b1)
 		}
@@ -165,10 +164,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			return
 		}
 		want := fn.String()
-		v2, err := ir.Marshal(fn)
-		if err != nil {
-			t.Fatalf("decoded function does not re-encode (v2): %v", err)
-		}
 		b1, err := ir.MarshalBinary(fn)
 		if err != nil {
 			t.Fatalf("decoded function does not re-encode (b1): %v", err)
@@ -177,7 +172,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded function does not re-encode (v1): %v", err)
 		}
-		for _, enc := range [][]byte{v2, b1, v1} {
+		for _, enc := range [][]byte{b1, v1} {
 			g, err := ir.Unmarshal(enc)
 			if err != nil {
 				t.Fatalf("re-encoded document does not decode: %v", err)
@@ -186,33 +181,32 @@ func FuzzWireRoundTrip(f *testing.F) {
 				t.Fatalf("cross-decode print drift:\n--- want\n%s\n--- got\n%s", want, g.String())
 			}
 		}
-		// Arena-schema byte fixed points (memcmp exactness).
-		g2, _ := ir.Unmarshal(v2)
-		if enc2, _ := ir.Marshal(g2); !bytes.Equal(enc2, v2) {
-			t.Fatal("v2 is not a byte fixed point")
+		// Byte fixed points; b1 is also memcmp-exact on the arenas.
+		g1, _ := ir.Unmarshal(v1)
+		if enc1, _ := ir.MarshalV1(g1); !bytes.Equal(enc1, v1) {
+			t.Fatal("v1 is not a byte fixed point")
 		}
 		gb, _ := ir.Unmarshal(b1)
 		if encb, _ := ir.MarshalBinary(gb); !bytes.Equal(encb, b1) {
 			t.Fatal("b1 is not a byte fixed point")
 		}
-		if gb.ArenaChecksum() != g2.ArenaChecksum() {
-			t.Fatal("v2 and b1 decode to different arena bytes")
+		if gb.ArenaChecksum() != fn.ArenaChecksum() {
+			t.Fatal("b1 round trip changed the arena bytes")
 		}
 	})
 }
 
-// BenchmarkWireCodec measures encode and decode for the v2 JSON and b1
+// BenchmarkWireCodec measures encode and decode for the v1 JSON and b1
 // binary schemas over the full Table-2 corpus (every workload suite
-// function) — the numbers behind BENCH_persist.json's codec section
-// and the "b1 decode ≥ 3× v2" acceptance bar.
+// function).
 func BenchmarkWireCodec(b *testing.B) {
 	var funcs []*ir.Func
 	for _, s := range workload.All() {
 		funcs = append(funcs, s.Funcs...)
 	}
-	var v2docs, b1docs [][]byte
+	var v1docs, b1docs [][]byte
 	for _, f := range funcs {
-		d2, err := ir.Marshal(f)
+		dv, err := ir.MarshalV1(f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,7 +214,7 @@ func BenchmarkWireCodec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		v2docs = append(v2docs, d2)
+		v1docs = append(v1docs, dv)
 		b1docs = append(b1docs, d1)
 	}
 	bytesOf := func(docs [][]byte) int64 {
@@ -230,11 +224,11 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		return n
 	}
-	b.Run("encode/v2", func(b *testing.B) {
-		b.SetBytes(bytesOf(v2docs))
+	b.Run("encode/v1", func(b *testing.B) {
+		b.SetBytes(bytesOf(v1docs))
 		for i := 0; i < b.N; i++ {
 			for _, f := range funcs {
-				if _, err := ir.Marshal(f); err != nil {
+				if _, err := ir.MarshalV1(f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -250,10 +244,10 @@ func BenchmarkWireCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("decode/v2", func(b *testing.B) {
-		b.SetBytes(bytesOf(v2docs))
+	b.Run("decode/v1", func(b *testing.B) {
+		b.SetBytes(bytesOf(v1docs))
 		for i := 0; i < b.N; i++ {
-			for _, d := range v2docs {
+			for _, d := range v1docs {
 				if _, err := ir.Unmarshal(d); err != nil {
 					b.Fatal(err)
 				}

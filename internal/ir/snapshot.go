@@ -97,24 +97,8 @@ func (f *Func) Freeze() {
 }
 
 // Frozen reports whether f currently shares slab storage with other
-// Funcs (it is a frozen master or an un-materialized snapshot). The
-// analysis cache uses this to decide when to publish precomputed,
-// immutable query structures instead of lazily self-filling ones.
+// Funcs (it is a frozen master or an un-materialized snapshot).
 func (f *Func) Frozen() bool { return f.cow != nil }
-
-// MarkSharedRead declares that f will be read by multiple goroutines
-// concurrently with no further mutation (the read-only fan-out of one
-// snapshot across workers). internal/analysis checks it to publish
-// frozen, precompute-complete query structures instead of the lazily
-// self-filling ones an exclusive owner gets; exclusively-owned
-// functions — including ordinary per-job snapshots — never set it, so
-// the serial pipeline keeps its incremental-revalidation behavior.
-// Call it once, before handing f out; mutating f afterwards violates
-// the contract.
-func (f *Func) MarkSharedRead() { f.sharedRead = true }
-
-// SharedRead reports whether MarkSharedRead was called on f.
-func (f *Func) SharedRead() bool { return f.sharedRead }
 
 // Snapshot returns a copy-on-write copy of f. Handles are preserved
 // exactly as with Clone — value, block and instruction IDs in the

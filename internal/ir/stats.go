@@ -19,10 +19,8 @@ var (
 	statCOWSlabCopies       atomic.Int64
 	statCOWAdoptions        atomic.Int64
 
-	statMarshalsV2   atomic.Int64
 	statMarshalsV1   atomic.Int64
 	statMarshalsB1   atomic.Int64
-	statUnmarshalsV2 atomic.Int64
 	statUnmarshalsV1 atomic.Int64
 	statUnmarshalsB1 atomic.Int64
 )
@@ -45,7 +43,7 @@ type SlabStats struct {
 	// COWSlabCopies counts the individual deferred slab copies; so
 	// Snapshots − COWMaterializations is the number of copies the lazy
 	// path elided outright, and COWMaterializations/Snapshots is the
-	// copies-materialized ratio the scaling-smoke gate asserts on.
+	// copies-materialized ratio (perfbench reports the materializations).
 	// COWAdoptions counts mutations that found themselves the family's
 	// last reader and took ownership of the shared storage with no copy
 	// at all.
@@ -54,13 +52,10 @@ type SlabStats struct {
 	COWMaterializations int64
 	COWSlabCopies       int64
 	COWAdoptions        int64
-	// Marshal/Unmarshal counters split by wire schema; the v2 counters
-	// move on the arena JSON path, v1 on the legacy per-instruction walk,
-	// b1 on the binary arena fast path.
-	MarshalsV2   int64
+	// Marshal/Unmarshal counters split by wire schema: v1 on the JSON
+	// per-instruction walk, b1 on the binary arena path.
 	MarshalsV1   int64
 	MarshalsB1   int64
-	UnmarshalsV2 int64
 	UnmarshalsV1 int64
 	UnmarshalsB1 int64
 }
@@ -76,10 +71,8 @@ func Stats() SlabStats {
 		COWMaterializations: statCOWMaterializations.Load(),
 		COWSlabCopies:       statCOWSlabCopies.Load(),
 		COWAdoptions:        statCOWAdoptions.Load(),
-		MarshalsV2:          statMarshalsV2.Load(),
 		MarshalsV1:          statMarshalsV1.Load(),
 		MarshalsB1:          statMarshalsB1.Load(),
-		UnmarshalsV2:        statUnmarshalsV2.Load(),
 		UnmarshalsV1:        statUnmarshalsV1.Load(),
 		UnmarshalsB1:        statUnmarshalsB1.Load(),
 	}

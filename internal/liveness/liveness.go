@@ -14,11 +14,8 @@ import (
 )
 
 // Info holds per-block liveness sets plus enough structure for precise
-// per-instruction queries. It is backed by one of two engines: the
-// iterative fixed point (Compute) fills the dense per-block sets
-// eagerly; the query engine (NewQuery) leaves them nil and answers
-// through memoized per-variable walks in engine.go. Both expose the
-// same API and produce identical answers.
+// per-instruction queries. It is immutable once Compute returns, so one
+// Info may be read by any number of goroutines without synchronization.
 type Info struct {
 	fn *ir.Func
 
@@ -31,10 +28,6 @@ type Info struct {
 	// exitLive[b.ID] = liveOut[b] plus the φ uses flowing out of b — the
 	// live set just before the parallel-copy point at the end of b.
 	exitLive []*bitset.Set
-
-	// q is the query-engine state when this Info was built by NewQuery;
-	// nil for iterative Infos. Revalidate returns a new wrapper sharing q.
-	q *queryState
 }
 
 // Compute runs the backward dataflow to a fixed point. The per-block
@@ -118,62 +111,36 @@ func Compute(f *ir.Func) *Info {
 // LiveIn reports whether v is live at the entry of b (φ defs of b are not
 // live-in; φ uses flowing into b are not live-in).
 func (l *Info) LiveIn(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.liveIn(int(v), b)
-	}
 	return l.liveIn[b.ID].Has(int(v))
 }
 
 // LiveOut reports whether v is live at the exit of b, after the φ-copy
 // point (paper Class 2 uses exactly this query).
 func (l *Info) LiveOut(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.liveOut(int(v), b)
-	}
 	return l.liveOut[b.ID].Has(int(v))
 }
 
 // ExitLive reports whether v is live just before the φ parallel-copy
 // point at the end of b.
 func (l *Info) ExitLive(v ir.ValueID, b *ir.Block) bool {
-	if l.q != nil {
-		return l.q.exitLive(int(v), b)
-	}
 	return l.exitLive[b.ID].Has(int(v))
 }
 
 // LiveInSet returns the live-in set of b (do not mutate).
 func (l *Info) LiveInSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		in, _, _ := l.q.blockSets(b)
-		return in
-	}
 	return l.liveIn[b.ID]
 }
 
 // LiveOutSet returns the live-out set of b (do not mutate).
 func (l *Info) LiveOutSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		_, out, _ := l.q.blockSets(b)
-		return out
-	}
 	return l.liveOut[b.ID]
 }
 
 // ExitLiveSet returns the set live just before the φ parallel-copy point
 // at the end of b: LiveOut(b) plus φ uses flowing out of b.
 func (l *Info) ExitLiveSet(b *ir.Block) *bitset.Set {
-	if l.q != nil {
-		_, _, exit := l.q.blockSets(b)
-		return exit
-	}
 	return l.exitLive[b.ID]
 }
-
-// Incremental reports whether this Info supports Revalidate (query
-// engine only, and not after Freeze — a frozen engine's storage is
-// shared with concurrent readers and must not be recycled).
-func (l *Info) Incremental() bool { return l.q != nil && !l.q.frozen }
 
 // LiveAfter returns the set of values live immediately after the idx-th
 // instruction of b. φ instructions are transparent (their defs are live

@@ -1,10 +1,13 @@
 package liveness_test
 
 import (
+	"fmt"
 	"testing"
 
+	"outofssa/internal/cfg"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
+	"outofssa/internal/pin"
 	"outofssa/internal/ssa"
 	"outofssa/internal/testprog"
 )
@@ -175,6 +178,58 @@ func refLiveIn(v ir.ValueID, b *ir.Block) bool {
 	return from(b)
 }
 
+// crossCheckEngines requires the two liveness engines — Compute, the
+// production fixed point, and refLiveIn, the test-only path-search
+// oracle — to agree on every (value, reachable block) point: LiveIn
+// directly, LiveOut as the union of the successors' live-ins, and
+// ExitLive as LiveOut plus the φ arguments flowing out of the block.
+// Unreachable blocks are the sweep's own contract (see
+// TestLivenessEnginesAgreeUnreachable).
+func crossCheckEngines(t *testing.T, f *ir.Func) {
+	t.Helper()
+	live := liveness.Compute(f)
+	for _, b := range cfg.Postorder(f) {
+		for id := 0; id < f.NumValues(); id++ {
+			v := ir.ValueID(id)
+			if f.IsPhys(v) {
+				continue
+			}
+			if got, want := live.LiveIn(v, b), refLiveIn(v, b); got != want {
+				t.Fatalf("%s: LiveIn(%v, %v) = %v, want %v\n%s", f.Name, f.VStr(v), b, got, want, f)
+			}
+			out, phiUse := false, false
+			for _, sid := range b.Succs() {
+				s := f.Block(sid)
+				out = out || refLiveIn(v, s)
+				for _, phi := range s.Phis() {
+					phiUse = phiUse || phi.Use(s.PredIndex(b.ID)) == v
+				}
+			}
+			if got := live.LiveOut(v, b); got != out {
+				t.Fatalf("%s: LiveOut(%v, %v) = %v, want %v\n%s", f.Name, f.VStr(v), b, got, out, f)
+			}
+			if got := live.ExitLive(v, b); got != (out || phiUse) {
+				t.Fatalf("%s: ExitLive(%v, %v) = %v, want %v\n%s", f.Name, f.VStr(v), b, got, out || phiUse, f)
+			}
+		}
+	}
+}
+
+// ssaRand generates a random structured program and converts it to SSA
+// with the real pin-collect phases, matching the production pipeline's
+// IR shape (φ webs, SP ties, ABI slots).
+func ssaRand(t *testing.T, seed int64, opt testprog.RandOptions) *ir.Func {
+	t.Helper()
+	f := testprog.Rand(seed, opt)
+	info, err := ssa.Build(f)
+	if err != nil {
+		t.Fatalf("ssa.Build(seed %d): %v", seed, err)
+	}
+	pin.CollectSP(f, info)
+	pin.CollectABI(f)
+	return f
+}
+
 func TestLivenessAgainstReference(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		f := testprog.Rand(seed, testprog.DefaultRandOptions())
@@ -194,6 +249,164 @@ func TestLivenessAgainstReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLivenessEnginesAgree is the property test: over random functions
+// — both the raw pre-SSA form (multi-def variables) and the pinned SSA
+// form — Compute and the reference oracle must agree exactly.
+func TestLivenessEnginesAgree(t *testing.T) {
+	t.Run("ssa", func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			crossCheckEngines(t, ssaRand(t, seed, testprog.DefaultRandOptions()))
+		}
+	})
+	t.Run("pre-ssa", func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			crossCheckEngines(t, testprog.Rand(seed, testprog.DefaultRandOptions()))
+		}
+	})
+}
+
+// TestLivenessEnginesAgreeOnSuites cross-checks the deterministic test
+// programs (lost copy, swap, nesting).
+func TestLivenessEnginesAgreeOnSuites(t *testing.T) {
+	for _, f := range testprog.All() {
+		ssa.MustBuild(f)
+		crossCheckEngines(t, f)
+	}
+}
+
+// TestLivenessEnginesAgreeUnreachable pins the unreachable-block
+// contract: the sweep visits only entry-reachable blocks, so
+// unreachable blocks keep empty sets and their φ edges and uses
+// contribute nothing — a dead block's uses are not live-range seeds.
+func TestLivenessEnginesAgreeUnreachable(t *testing.T) {
+	bld := ir.NewBuilder("unreach")
+	entry := bld.Block("entry")
+	left := bld.Fn.NewBlock("left")
+	right := bld.Fn.NewBlock("right")
+	dead := bld.Fn.NewBlock("dead")
+	merge := bld.Fn.NewBlock("merge")
+
+	a, one, c := bld.Val("a"), bld.Val("one"), bld.Val("c")
+	x1, x2, x3, d, r := bld.Val("x1"), bld.Val("x2"), bld.Val("x3"), bld.Val("d"), bld.Val("r")
+
+	bld.SetBlock(entry)
+	bld.Input(a)
+	bld.Const(one, 1)
+	bld.Binary(ir.CmpLT, c, a, one)
+	bld.Br(c, left, right)
+
+	bld.SetBlock(left)
+	bld.Binary(ir.Add, x1, a, one)
+	bld.Jump(merge)
+
+	bld.SetBlock(right)
+	bld.Binary(ir.Add, x2, a, a)
+	bld.Jump(merge)
+
+	// No edge leads here: uses of reachable values (a, x1) in this block
+	// must not extend their live ranges, and the φ argument flowing from
+	// this block must not be exit-live anywhere.
+	bld.SetBlock(dead)
+	bld.Binary(ir.Add, d, a, x1)
+	bld.Jump(merge)
+
+	bld.SetBlock(merge)
+	bld.Phi(x3, x1, x2, d)
+	bld.Binary(ir.Mul, r, x3, a)
+	bld.Output(r)
+
+	f := bld.Fn
+	crossCheckEngines(t, f)
+
+	live := liveness.Compute(f)
+	if live.LiveOut(a, dead) || !live.LiveOutSet(dead).Empty() || !live.LiveInSet(dead).Empty() {
+		t.Fatal("unreachable block has a non-empty live set")
+	}
+	if live.ExitLive(d, dead) {
+		t.Fatal("φ argument from an unreachable predecessor reported exit-live")
+	}
+	if !live.ExitLive(x1, left) || live.LiveOut(x1, left) {
+		t.Fatal("x1 must be exit-live (φ use) but not live-out of left")
+	}
+}
+
+// TestLivenessEnginesAgreePhiHeavy cross-checks a merge carrying a wide
+// φ prefix (every arm value flows through its own φ and stays live past
+// the merge), the shape that stresses the φ-edge uses and the parallel
+// φ semantics.
+func TestLivenessEnginesAgreePhiHeavy(t *testing.T) {
+	const k = 12
+	bld := ir.NewBuilder("phiheavy")
+	entry := bld.Block("entry")
+	left := bld.Fn.NewBlock("left")
+	right := bld.Fn.NewBlock("right")
+	merge := bld.Fn.NewBlock("merge")
+
+	a, one, c := bld.Val("a"), bld.Val("one"), bld.Val("c")
+	bld.SetBlock(entry)
+	bld.Input(a)
+	bld.Const(one, 1)
+	bld.Binary(ir.CmpLT, c, a, one)
+	bld.Br(c, left, right)
+
+	var ls, rs, ms [k]ir.ValueID
+	for i := range ls {
+		ls[i] = bld.Val(fmt.Sprintf("l%d", i))
+		rs[i] = bld.Val(fmt.Sprintf("r%d", i))
+		ms[i] = bld.Val(fmt.Sprintf("m%d", i))
+	}
+	bld.SetBlock(left)
+	for i := range ls {
+		bld.Binary(ir.Add, ls[i], a, one)
+	}
+	bld.Jump(merge)
+	bld.SetBlock(right)
+	for i := range rs {
+		bld.Binary(ir.Add, rs[i], a, a)
+	}
+	bld.Jump(merge)
+
+	bld.SetBlock(merge)
+	for i := range ms {
+		bld.Phi(ms[i], ls[i], rs[i])
+	}
+	sum := ms[0]
+	for i := 1; i < k; i++ {
+		next := bld.Val(fmt.Sprintf("s%d", i))
+		bld.Binary(ir.Add, next, sum, ms[i])
+		sum = next
+	}
+	bld.Output(sum)
+
+	crossCheckEngines(t, bld.Fn)
+}
+
+// FuzzLivenessEngines fuzzes Compute against the reference oracle, on
+// both the pre-SSA and the pinned-SSA form of each random function. The
+// size knob maps to generator options the same way as the interference
+// engine fuzzer, so crashers transfer between corpora.
+func FuzzLivenessEngines(f *testing.F) {
+	f.Add(int64(0), int64(0))
+	f.Add(int64(1), int64(17))
+	f.Add(int64(7), int64(36))
+	f.Add(int64(42), int64(5))
+	f.Add(int64(1002), int64(90))
+	f.Fuzz(func(t *testing.T, seed, size int64) {
+		if size < 0 {
+			size = -size
+		}
+		opt := testprog.RandOptions{
+			MaxDepth:      int(1 + size%3),
+			Vars:          int(3 + (size/3)%5),
+			StmtsPerBlock: int(1 + (size/18)%5),
+			Calls:         size%2 == 0,
+			Stack:         (size/2)%2 == 0,
+		}
+		crossCheckEngines(t, testprog.Rand(seed, opt))
+		crossCheckEngines(t, ssaRand(t, seed, opt))
+	})
 }
 
 func TestLiveAfter(t *testing.T) {

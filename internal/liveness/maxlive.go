@@ -15,11 +15,6 @@ import (
 // there), and the φ instructions themselves are transparent — their
 // defs are live from block entry, their uses belong to the
 // predecessors — exactly as in Info.LiveAfter.
-//
-// The walk asks only dense set queries plus a backward scan per block,
-// so under the query engine it reuses the memoized per-variable walks
-// and is deterministic for a given (f, engine) regardless of query
-// history.
 func MaxLive(f *ir.Func, l *Info) int {
 	max := 0
 	cur := bitset.New(f.NumValues())

@@ -14,7 +14,6 @@ import (
 	"outofssa/internal/analysis"
 	"outofssa/internal/cfg"
 	"outofssa/internal/coalesce"
-	"outofssa/internal/faultinject"
 	"outofssa/internal/interference"
 	"outofssa/internal/ir"
 	"outofssa/internal/liveness"
@@ -217,17 +216,6 @@ func Run(f *ir.Func, conf Config, opts ...Option) (*Result, error) {
 // function in (pinned or plain) SSA form.
 func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, error) {
 	exp, tr, reg := rc.exp, rc.tracer, rc.metrics
-	if conf.Verify {
-		// Checked mode probes the copy-on-write isolation invariant on
-		// the entry function before any pass runs: a snapshot pair is
-		// mutated in both directions and byte-compared. An aliasing bug
-		// would otherwise corrupt sibling jobs silently; here it fails
-		// the run the same way a corrupted pass does.
-		if err := faultinject.InjectCOWAliasing(f); err != nil {
-			return nil, &PassError{Func: f.Name, Config: exp, Pass: "<cow-probe>",
-				Cause: err, Snapshot: obs.Snapshot(f)}
-		}
-	}
 	var backup *ir.Func
 	if conf.Fallback {
 		// Copy-on-write: the backup shares f's slabs and only the slabs f

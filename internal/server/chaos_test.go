@@ -126,7 +126,7 @@ func TestChaos(t *testing.T) {
 		t.Fatal("breaker never tripped")
 	}
 	probeF := workload.SynthFuncs(1, 9000)[0]
-	doc, err := ir.Marshal(probeF)
+	doc, err := ir.MarshalV1(probeF)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestChaos(t *testing.T) {
 		t.Fatalf("probe request: status %d", rep.status)
 	}
 	recoveredF := workload.SynthFuncs(1, 9001)[0]
-	doc2, err := ir.Marshal(recoveredF)
+	doc2, err := ir.MarshalV1(recoveredF)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestWarmStartServesIdentical(t *testing.T) {
 	funcs := workload.SynthFuncs(24, 99)
 	docs := make([][]byte, len(funcs))
 	for i, f := range funcs {
-		doc, err := ir.Marshal(f)
+		doc, err := ir.MarshalV1(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func TestWarmStartServesIdentical(t *testing.T) {
 func TestWarmStartSkipsCorruptRecord(t *testing.T) {
 	dir := t.TempDir()
 	f := testprog.Rand(7, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func appendGarbageDecodeRecord(t *testing.T, dir string) {
 func TestWarmStartTornTail(t *testing.T) {
 	dir := t.TempDir()
 	f := testprog.Rand(11, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestWarmStartTornTail(t *testing.T) {
 }
 
 // TestB1Negotiation pins the schema surface: the same function posted
-// as a raw binary body, as a base64'd "ir" field, and as a v2 JSON
+// as a raw binary body, as a base64'd "ir" field, and as a v1 JSON
 // document must compile to identical output; raw and base64 b1
 // normalize to the same cache key, so the second b1 shape is a hit.
 func TestB1Negotiation(t *testing.T) {
@@ -271,7 +271,7 @@ func TestB1Negotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := ir.Marshal(f)
+	v1, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,16 +304,16 @@ func TestB1Negotiation(t *testing.T) {
 		t.Fatal("base64 and raw b1 outputs differ")
 	}
 
-	rep = postCompile(t, hs.URL, compileRequest{IR: v2})
+	rep = postCompile(t, hs.URL, compileRequest{IR: v1})
 	if rep.status != http.StatusOK {
-		t.Fatalf("v2: status %d (%s)", rep.status, rep.errK)
+		t.Fatalf("v1: status %d (%s)", rep.status, rep.errK)
 	}
 	if rep.resp.Output != rawResp.Output {
-		t.Fatal("v2 and b1 outputs differ")
+		t.Fatal("v1 and b1 outputs differ")
 	}
 
 	if miss := counterValue(reg, MetricDecodeMisses); miss != 2 {
-		t.Fatalf("decode misses = %d, want 2 (one per distinct content: b1 bytes, v2 bytes)", miss)
+		t.Fatalf("decode misses = %d, want 2 (one per distinct content: b1 bytes, v1 bytes)", miss)
 	}
 
 	// A truncated binary body must be a 400, not a hang or a 500.
@@ -328,7 +328,7 @@ func TestB1Negotiation(t *testing.T) {
 }
 
 // TestMixedSchemaDrive runs the workload generator's full schema
-// rotation (v2, v1, base64 b1, raw b1) against one server: everything
+// rotation (v1, base64 b1, raw b1) against one server: everything
 // compiles, and every response for the same source function is
 // byte-identical regardless of wire schema.
 func TestMixedSchemaDrive(t *testing.T) {

@@ -275,12 +275,11 @@ func (s *Server) Handler() http.Handler {
 
 // compileRequest is the /compile body: exactly one of LAI (a single
 // function in LAI assembly) or IR (a laoc-ir document) must be set;
-// the schema tag in the document selects the decoder, so clients on
-// any wire version are served transparently. The IR field carries a
-// JSON document (v1/v2) directly, or a binary b1 document base64'd as
-// a JSON string. A request whose whole body starts with the b1 magic
-// skips JSON entirely — the body IS the IR, with deadline/debug at
-// their defaults. Raw and base64 b1 bodies normalize to the same
+// the schema tag in the document selects the decoder. The IR field
+// carries a v1 JSON document directly, or a binary b1 document
+// base64'd as a JSON string; any other schema tag is a 400. A request
+// whose whole body starts with the b1 magic skips JSON entirely — the
+// body IS the IR, with deadline/debug at their defaults. Raw and base64 b1 bodies normalize to the same
 // content bytes, so they share decode- and result-cache keys. The
 // response is always the JSON compileResponse (rendered LAI text plus
 // counters), whatever the request schema.

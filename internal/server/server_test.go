@@ -144,7 +144,7 @@ func TestCompileLAI(t *testing.T) {
 func TestCompileIR(t *testing.T) {
 	_, hs, _ := startServer(t, Config{})
 	f := testprog.Rand(11, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +169,7 @@ func TestCompileRejects(t *testing.T) {
 		{"both", compileRequest{LAI: srcSimple, IR: json.RawMessage(`{}`)}, "parse"},
 		{"bad-lai", compileRequest{LAI: ".func broken\n"}, "parse"},
 		{"bad-ir", compileRequest{IR: json.RawMessage(`{"schema":"nope"}`)}, "parse"},
+		{"v2-ir", compileRequest{IR: json.RawMessage(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":[],"blocks":[],"order":[]}`)}, "parse"},
 		{"debug-disabled", compileRequest{LAI: srcSimple, Debug: &debugRequest{SleepMS: 1}}, "parse"},
 	}
 	for _, tc := range cases {
@@ -354,7 +355,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	}
 	// While open (pre-cooldown), a clean request compiles degraded.
 	f := testprog.Rand(21, testprog.DefaultRandOptions())
-	doc, err := ir.Marshal(f)
+	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 		t.Fatalf("probe after cooldown: %+v", probe.resp)
 	}
 	f2 := testprog.Rand(22, testprog.DefaultRandOptions())
-	doc2, err := ir.Marshal(f2)
+	doc2, err := ir.MarshalV1(f2)
 	if err != nil {
 		t.Fatal(err)
 	}

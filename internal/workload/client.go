@@ -62,7 +62,7 @@ func PooledRequests(funcs []*ir.Func, n, deadlineMS int) ([]ClientRequest, error
 		doc, ok := docs[f]
 		if !ok {
 			var err error
-			doc, err = ir.Marshal(f)
+			doc, err = ir.MarshalV1(f)
 			if err != nil {
 				return nil, err
 			}
@@ -92,17 +92,8 @@ type ClientDebug struct {
 	PanicPass string `json:"panic_pass,omitempty"`
 }
 
-// IRRequest builds a raw-IR ClientRequest for f (v2 JSON schema).
+// IRRequest builds a raw-IR ClientRequest for f (v1 JSON schema).
 func IRRequest(f *ir.Func, deadlineMS int) (ClientRequest, error) {
-	doc, err := ir.Marshal(f)
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	return ClientRequest{IR: doc, DeadlineMS: deadlineMS}, nil
-}
-
-// V1Request builds an IR ClientRequest carrying the v1 JSON schema.
-func V1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
 	doc, err := ir.MarshalV1(f)
 	if err != nil {
 		return ClientRequest{}, err
@@ -292,9 +283,11 @@ func Drive(baseURL string, reqs []ClientRequest, opt DriveOptions, outcomes []in
 // sprinkle. Debug-carrying requests require the server to run with
 // -allow-debug.
 //
-// The valid compiles rotate v2 JSON → v1 JSON → base64'd b1 → raw
-// binary b1 body by index, so one drive exercises the server's whole
-// schema negotiation surface. Sprinkle requests stay on JSON shapes
+// The valid compiles rotate v1 JSON → base64'd b1 → raw binary b1 body
+// → v1 JSON by index, so one drive exercises the server's whole schema
+// negotiation surface. The period is four, so over a -distinct pool
+// whose size is a multiple of four every function keeps one schema
+// (and one decode record). Sprinkle requests stay on JSON shapes
 // (debug riders cannot travel in a raw body).
 func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, deadlineEvery int) ([]ClientRequest, error) {
 	reqs := make([]ClientRequest, len(funcs))
@@ -319,14 +312,12 @@ func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, dea
 			var r ClientRequest
 			var err error
 			switch i % 4 {
-			case 0:
-				r, err = IRRequest(f, deadlineMS)
 			case 1:
-				r, err = V1Request(f, deadlineMS)
-			case 2:
 				r, err = B1Request(f, deadlineMS)
-			default:
+			case 2:
 				r, err = B1RawRequest(f)
+			default:
+				r, err = IRRequest(f, deadlineMS)
 			}
 			if err != nil {
 				return nil, err
