@@ -49,8 +49,9 @@ const (
 	// KindResult is a compiled translation: payload = rendered LAI text,
 	// with the result counters riding in the record header.
 	KindResult Kind = 1
-	// KindDecode is an interned decode master: payload = the function's
-	// b1 wire document.
+	// KindDecode is a decoded function: payload = its b1 wire document.
+	// laocd no longer writes it; stores from older versions still hold
+	// such records, and the server skips them at warm start.
 	KindDecode Kind = 2
 )
 

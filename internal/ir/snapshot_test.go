@@ -269,7 +269,7 @@ func TestConcurrentSnapshots(t *testing.T) {
 // storage behind cleared share flags) must not hand that storage to a
 // new snapshot without re-freezing — its own in-place writes would leak
 // into the snapshot. This is exactly the checked pipeline's shape: SSA
-// construction mutates a decode-cache snapshot partially, then
+// construction mutates a table job's snapshot partially, then
 // Config.Fallback snapshots it as the rollback backup.
 func TestSnapshotOfPartiallyMaterialized(t *testing.T) {
 	master := buildSnapshotFixture(80)

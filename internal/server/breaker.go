@@ -67,8 +67,8 @@ func newBreaker(threshold int, window, cooldown time.Duration, now func() time.T
 // every class is closed; degraded (naive-translation-only) while any
 // class is open; and when an open class has cooled down, exactly one
 // caller gets it as a probe — it runs the full pipeline and must
-// report the outcome via probeResult. probeClass is empty unless this
-// caller won the probe.
+// report the outcome via probeResult or probeAbort. probeClass is
+// empty unless this caller won the probe.
 func (b *breaker) plan() (degraded bool, probeClass string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -90,6 +90,21 @@ func (b *breaker) plan() (degraded bool, probeClass string) {
 		return false, probeClass
 	}
 	return degraded, ""
+}
+
+// degraded reports whether any class is open — the mode a request
+// that does not run the pipeline is answered in. Unlike plan it never
+// hands out the probe: the handler's cache lookup reads the breaker
+// through it, so only a request that compiles can become the probe.
+func (b *breaker) degraded() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for _, c := range b.classes {
+		if c.open {
+			return true
+		}
+	}
+	return false
 }
 
 // fail records a verifier/pass failure attributed to class and trips

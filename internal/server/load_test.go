@@ -31,14 +31,14 @@ func (t handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 //
 //   - every request 200 OK — no sheds, deadlines, or fallbacks;
 //   - zero result-cache poisonings (checksum verification never fires);
-//   - O(distinct) memory residency, not O(requests): the decode cache
-//     interns each distinct function once as a frozen master, every
-//     request compiles a released copy-on-write snapshot of it, and
-//     the result cache is LRU-capped — so 100k requests must not grow
-//     the heap beyond a fixed bound;
-//   - at most one decode-cache miss and one full compile per distinct
-//     function (singleflight may retry, hence "at most" with slack on
-//     the cached count, not an exact equality).
+//   - O(distinct) memory residency, not O(requests): a repeat is
+//     answered from the LRU-capped result cache before its body is
+//     parsed — so 100k requests must not grow the heap beyond a fixed
+//     bound;
+//   - at most one parse and one full compile per distinct function:
+//     the singleflight leader re-checks the cache before it parses
+//     (slack stays on the cached count, which counts responses, not
+//     compiles).
 //
 // Skipped under -short: the full run is ~100k round trips.
 func TestSyntheticLoad100k(t *testing.T) {
@@ -108,12 +108,15 @@ func TestSyntheticLoad100k(t *testing.T) {
 	if rep.Cached < n-4*distinct {
 		t.Fatalf("only %d/%d responses served from cache, want >= %d", rep.Cached, n, n-4*distinct)
 	}
-	// Each distinct function decodes at most once.
-	if miss := counterValue(reg, MetricDecodeMisses); miss > distinct {
-		t.Fatalf("%d decode-cache misses for %d distinct functions", miss, distinct)
+	// Each distinct function parses at most once.
+	if parsed := counterValue(reg, MetricDecodeMisses); parsed > distinct {
+		t.Fatalf("parsed %d bodies for %d distinct functions", parsed, distinct)
 	}
-	// The COW path bounds the pipeline's copy work by the distinct pool,
-	// not the request count: only jobs that actually compile materialize.
+	if unparsed := counterValue(reg, MetricDecodeHits); unparsed < n-distinct {
+		t.Fatalf("only %d/%d requests answered without a parse", unparsed, n)
+	}
+	// The pipeline's copy work is bounded by the distinct pool, not the
+	// request count: only requests that actually compile materialize.
 	if mats := irAfter.COWMaterializations - irBefore.COWMaterializations; mats > 4*distinct {
 		t.Fatalf("%d COW materializations for %d distinct functions — snapshots are being copied per request", mats, distinct)
 	}

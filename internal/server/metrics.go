@@ -28,15 +28,17 @@ const (
 	// mode while a breaker was open.
 	MetricDegraded = "laocd_degraded_total"
 	// MetricCacheHits / Misses / Poison count result-cache reads:
-	// checksum-verified hits, misses (including singleflight leaders),
+	// checksum-verified hits, misses (singleflight leaders that found
+	// no entry and compiled),
 	// and entries whose stored checksum no longer matched — detected
 	// poison, evicted and recompiled, never served.
 	MetricCacheHits   = "laocd_cache_hits_total"
 	MetricCacheMisses = "laocd_cache_misses_total"
 	MetricCachePoison = "laocd_cache_poison_total"
-	// MetricDecodeHits / Misses count decode-cache reads: a hit skips
-	// the parse and compiles a copy-on-write snapshot of the interned
-	// frozen master; a miss parses and interns.
+	// MetricDecodeHits counts requests answered without parsing their
+	// body (result-cache hits and singleflight followers);
+	// MetricDecodeMisses counts bodies parsed. A result stays cached, so
+	// each distinct content is parsed once while it is resident.
 	MetricDecodeHits   = "laocd_decode_hits_total"
 	MetricDecodeMisses = "laocd_decode_misses_total"
 	// MetricFallbacks counts responses served from the naive fallback
@@ -81,15 +83,15 @@ func registerHelp(reg *metrics.Registry) {
 	reg.SetHelp(MetricCacheHits, "result-cache hits (checksum verified)")
 	reg.SetHelp(MetricCacheMisses, "result-cache misses")
 	reg.SetHelp(MetricCachePoison, "poisoned cache entries detected on read and evicted")
-	reg.SetHelp(MetricDecodeHits, "decode-cache hits (request compiled a snapshot of the interned master)")
-	reg.SetHelp(MetricDecodeMisses, "decode-cache misses (request parsed and interned its content)")
+	reg.SetHelp(MetricDecodeHits, "requests answered without parsing their body (result-cache hit or singleflight follower)")
+	reg.SetHelp(MetricDecodeMisses, "request bodies parsed (LAI or laoc-ir)")
 	reg.SetHelp(MetricFallbacks, "responses served from the naive fallback translation")
 	reg.SetHelp(MetricWorkerPanics, "panics contained by the worker's last-resort recover")
 	reg.SetHelp(MetricQueueDepth, "requests waiting for a worker")
 	reg.SetHelp(MetricInflight, "requests being compiled right now")
 	reg.SetHelp(MetricRequestWallNS, "end-to-end request latency (ns)")
-	reg.SetHelp(MetricStoreWarm, "cache entries warm-loaded from the store at startup, by kind")
-	reg.SetHelp(MetricStoreWarmSkipped, "store records that passed framing but failed decode at warm start (skipped, never served)")
+	reg.SetHelp(MetricStoreWarm, "result-cache entries warm-loaded from the store at startup")
+	reg.SetHelp(MetricStoreWarmSkipped, "store records that passed framing but are not result records, e.g. legacy decode records (skipped at warm start, never served)")
 	reg.SetHelp(MetricStoreAppends, "records appended by the store's write-behind goroutine")
 	reg.SetHelp(MetricStoreAppendBytes, "encoded bytes appended to the store")
 	reg.SetHelp(MetricStoreDropped, "store appends dropped (full queue, closed store, write error)")

@@ -3,18 +3,19 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"outofssa/internal/cachestore"
 	"outofssa/internal/ir"
+	"outofssa/internal/lai"
 	"outofssa/internal/obs/metrics"
+	"outofssa/internal/pipeline"
 	"outofssa/internal/testprog"
 	"outofssa/internal/workload"
 )
@@ -60,9 +61,9 @@ func segFiles(t *testing.T, dir string) []string {
 }
 
 // TestWarmStartServesIdentical is the restart contract: a killed and
-// restarted daemon answers the same requests from its warmed caches —
+// restarted daemon answers the same requests from its warmed cache —
 // byte-identical output, every response a verified cache hit, zero
-// recompilation, zero poisoned or corrupt records.
+// parses, zero recompilation, zero poisoned or corrupt records.
 func TestWarmStartServesIdentical(t *testing.T) {
 	dir := t.TempDir()
 	funcs := workload.SynthFuncs(24, 99)
@@ -87,8 +88,8 @@ func TestWarmStartServesIdentical(t *testing.T) {
 	stop1()
 
 	hs2, reg2, _ := runPersistServer(t, Config{CacheDir: dir})
-	if warm := counterValue(reg2, MetricStoreWarm); warm != int64(2*len(funcs)) {
-		t.Fatalf("warm-loaded %d records, want %d (one result + one decode master per function)", warm, 2*len(funcs))
+	if warm := counterValue(reg2, MetricStoreWarm); warm != int64(len(funcs)) {
+		t.Fatalf("warm-loaded %d records, want %d (one result per function)", warm, len(funcs))
 	}
 	if skipped := counterValue(reg2, MetricStoreWarmSkipped); skipped != 0 {
 		t.Fatalf("warm start skipped %d records, want 0", skipped)
@@ -108,8 +109,11 @@ func TestWarmStartServesIdentical(t *testing.T) {
 	if miss := counterValue(reg2, MetricCacheMisses); miss != 0 {
 		t.Fatalf("%d result-cache misses after warm start, want 0", miss)
 	}
-	if miss := counterValue(reg2, MetricDecodeMisses); miss != 0 {
-		t.Fatalf("%d decode-cache misses after warm start, want 0", miss)
+	if parsed := counterValue(reg2, MetricDecodeMisses); parsed != 0 {
+		t.Fatalf("parsed %d bodies after warm start, want 0", parsed)
+	}
+	if unparsed := counterValue(reg2, MetricDecodeHits); unparsed != int64(len(docs)) {
+		t.Fatalf("%d requests answered without a parse, want %d", unparsed, len(docs))
 	}
 	if poison := counterValue(reg2, MetricCachePoison); poison != 0 {
 		t.Fatalf("%d poisoned entries after warm start, want 0", poison)
@@ -172,46 +176,90 @@ func TestWarmStartSkipsCorruptRecord(t *testing.T) {
 	}
 }
 
-// TestWarmStartSkipsUndecodableDecodeRecord hand-writes a decode
-// record whose payload passes the store's frame checksum but is not a
-// valid b1 document: the warm scan must skip and count it, not intern
-// garbage.
-func TestWarmStartSkipsUndecodableDecodeRecord(t *testing.T) {
+// TestWarmStartSkipsLegacyDecodeRecord opens a store written by an
+// older laocd, which persisted a decode record (kind 2: the function's
+// b1 document) beside each result. The store must open cleanly and
+// serve its result records; the decode record is counted as
+// warm-skipped, never served, and dropped by the next compaction.
+func TestWarmStartSkipsLegacyDecodeRecord(t *testing.T) {
 	dir := t.TempDir()
+	f, err := lai.Parse(srcSimple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := ir.MarshalBinary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	hs1, _, stop1 := runPersistServer(t, Config{CacheDir: dir})
 	rep := postCompile(t, hs1.URL, compileRequest{LAI: srcSimple})
 	if rep.status != http.StatusOK {
 		t.Fatalf("cold: status %d (%s)", rep.status, rep.errK)
 	}
+	want := rep.resp.Output
 	stop1()
 
-	// Rewrite the newest segment's decode record... simpler: append a
-	// fresh well-framed KindDecode record with a garbage payload via the
-	// store itself.
-	appendGarbageDecodeRecord(t, dir)
-
-	_, reg2, _ := runPersistServer(t, Config{CacheDir: dir})
-	if skipped := counterValue(reg2, MetricStoreWarmSkipped); skipped != 1 {
-		t.Fatalf("warm start skipped %d records, want 1 (the garbage decode payload)", skipped)
-	}
-	if poison := counterValue(reg2, MetricCachePoison); poison != 0 {
-		t.Fatalf("%d poisoned serves, want 0", poison)
-	}
-}
-
-// appendGarbageDecodeRecord writes a well-framed KindDecode record
-// whose payload is not a valid IR document — the store will happily
-// persist and replay it; the server's warm scan is what must reject it.
-func appendGarbageDecodeRecord(t *testing.T, dir string) {
-	t.Helper()
+	// A well-formed decode record, keyed the way the old server keyed
+	// it: the content key of the request that decoded it.
+	key := contentKey("lai", []byte(srcSimple), pipeline.ExpLphiABIC)
 	st, err := cachestore.Open(dir, cachestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Put(&cachestore.Record{Kind: cachestore.KindDecode, Key: 0xDEAD, Payload: []byte("not an ir document")})
+	st.Put(&cachestore.Record{Kind: cachestore.KindDecode, Key: key, Payload: doc})
 	st.Flush()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// A one-byte size cap makes every append compact, so the server's
+	// own liveness callback decides what survives.
+	hs2, reg2, stop2 := runPersistServer(t, Config{CacheDir: dir, StoreMaxBytes: 1})
+	if warm := counterValue(reg2, MetricStoreWarm); warm != 1 {
+		t.Fatalf("warm-loaded %d records, want 1 (the result)", warm)
+	}
+	if skipped := counterValue(reg2, MetricStoreWarmSkipped); skipped != 1 {
+		t.Fatalf("warm start skipped %d records, want 1 (the decode record)", skipped)
+	}
+	if corrupt := counterValue(reg2, MetricStoreCorrupt); corrupt != 0 {
+		t.Fatalf("store counted %d corrupt records, want 0 — a decode record is well-formed", corrupt)
+	}
+	rep = postCompile(t, hs2.URL, compileRequest{LAI: srcSimple})
+	if rep.status != http.StatusOK || !rep.resp.Cached || rep.resp.Output != want {
+		t.Fatalf("after restart: status %d cached=%v, want the warm result", rep.status, rep.resp.Cached)
+	}
+	other := strings.Replace(srcSimple, "simple", "other", 1)
+	if rep := postCompile(t, hs2.URL, compileRequest{LAI: other}); rep.status != http.StatusOK {
+		t.Fatalf("new content: status %d (%s)", rep.status, rep.errK)
+	}
+	if poison := counterValue(reg2, MetricCachePoison); poison != 0 {
+		t.Fatalf("%d poisoned serves, want 0", poison)
+	}
+	stop2()
+	if n := counterValue(reg2, MetricStoreCompactions); n == 0 {
+		t.Fatal("no compaction ran")
+	}
+
+	st, err = cachestore.Open(dir, cachestore.Options{MaxBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := 0
+	if err := st.Scan(func(rec *cachestore.Record) bool {
+		if rec.Kind != cachestore.KindResult {
+			t.Errorf("record of kind %d survived compaction", rec.Kind)
+		}
+		results++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if results != 2 {
+		t.Fatalf("after compaction the store holds %d records, want the 2 results", results)
 	}
 }
 
@@ -261,9 +309,9 @@ func TestWarmStartTornTail(t *testing.T) {
 }
 
 // TestB1Negotiation pins the schema surface: the same function posted
-// as a raw binary body, as a base64'd "ir" field, and as a v1 JSON
-// document must compile to identical output; raw and base64 b1
-// normalize to the same cache key, so the second b1 shape is a hit.
+// as a raw binary body and as a v1 JSON document must compile to
+// identical output. Each wire form is its own content, parsed once;
+// reposting the raw body is a hit that parses nothing.
 func TestB1Negotiation(t *testing.T) {
 	_, hs, reg := startServer(t, Config{})
 	f := testprog.Rand(3, testprog.DefaultRandOptions())
@@ -276,48 +324,32 @@ func TestB1Negotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hr, err := http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(b1))
-	if err != nil {
-		t.Fatal(err)
+	raw := postRawCompile(t, hs.URL, b1)
+	if raw.status != http.StatusOK {
+		t.Fatalf("raw b1 body: status %d (%s)", raw.status, raw.errK)
 	}
-	var rawResp compileResponse
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("raw b1 body: status %d", hr.StatusCode)
-	}
-	if err := json.NewDecoder(hr.Body).Decode(&rawResp); err != nil {
-		t.Fatal(err)
-	}
-	hr.Body.Close()
-	if rawResp.Cached {
+	if raw.resp.Cached {
 		t.Fatal("first b1 request reported cached")
 	}
-
-	quoted, _ := json.Marshal(base64.StdEncoding.EncodeToString(b1))
-	rep := postCompile(t, hs.URL, compileRequest{IR: quoted})
-	if rep.status != http.StatusOK {
-		t.Fatalf("base64 b1: status %d (%s)", rep.status, rep.errK)
-	}
-	if !rep.resp.Cached {
-		t.Fatal("base64 b1 of the same document missed the cache — raw and base64 must share keys")
-	}
-	if rep.resp.Output != rawResp.Output {
-		t.Fatal("base64 and raw b1 outputs differ")
+	again := postRawCompile(t, hs.URL, b1)
+	if again.status != http.StatusOK || !again.resp.Cached || again.resp.Output != raw.resp.Output {
+		t.Fatalf("repeated raw b1 body: status %d cached=%v, want the cached reply", again.status, again.resp.Cached)
 	}
 
-	rep = postCompile(t, hs.URL, compileRequest{IR: v1})
+	rep := postCompile(t, hs.URL, compileRequest{IR: v1})
 	if rep.status != http.StatusOK {
 		t.Fatalf("v1: status %d (%s)", rep.status, rep.errK)
 	}
-	if rep.resp.Output != rawResp.Output {
+	if rep.resp.Output != raw.resp.Output {
 		t.Fatal("v1 and b1 outputs differ")
 	}
 
-	if miss := counterValue(reg, MetricDecodeMisses); miss != 2 {
-		t.Fatalf("decode misses = %d, want 2 (one per distinct content: b1 bytes, v1 bytes)", miss)
+	if parsed := counterValue(reg, MetricDecodeMisses); parsed != 2 {
+		t.Fatalf("parsed %d bodies, want 2 (one per distinct content: b1 bytes, v1 bytes)", parsed)
 	}
 
 	// A truncated binary body must be a 400, not a hang or a 500.
-	hr, err = http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(b1[:len(b1)-3]))
+	hr, err := http.Post(hs.URL+"/compile", "application/octet-stream", bytes.NewReader(b1[:len(b1)-3]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +359,8 @@ func TestB1Negotiation(t *testing.T) {
 	}
 }
 
-// TestMixedSchemaDrive runs the workload generator's full schema
-// rotation (v1, base64 b1, raw b1) against one server: everything
+// TestMixedSchemaDrive runs the workload generator's schema rotation
+// (v1 JSON, raw b1) against one server: everything
 // compiles, and every response for the same source function is
 // byte-identical regardless of wire schema.
 func TestMixedSchemaDrive(t *testing.T) {

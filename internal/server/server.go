@@ -21,15 +21,16 @@
 //     half-open probes decide recovery (see breaker.go).
 //   - Result cache. Content hash → translated function with per-entry
 //     checksums; poisoned entries are detected on read, evicted and
-//     recompiled, never served (see cache.go). Identical concurrent
-//     requests are deduplicated by a singleflight layer.
+//     recompiled, never served (see cache.go). The handler looks a
+//     request up before parsing it, so a hit costs no parse, queue slot
+//     or worker. Identical concurrent misses are deduplicated by a
+//     singleflight layer.
 //   - Drain. Drain stops admission (503) and waits for in-flight work,
 //     so SIGTERM never abandons an accepted request.
 package server
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,12 +77,12 @@ type Config struct {
 	AllowDebug bool
 	// MaxBodyBytes bounds a request body (default 4 MiB).
 	MaxBodyBytes int64
-	// CacheDir enables cache persistence: both caches are warm-started
-	// from the cachestore in this directory at New and written behind on
-	// insert (empty disables persistence). StoreMaxBytes caps the
-	// on-disk size (0 = cachestore default, negative = no compaction);
-	// StoreFsync is the durability policy ("never", "interval",
-	// "always"; empty = never).
+	// CacheDir enables cache persistence: the result cache is
+	// warm-started from the cachestore in this directory at New and
+	// written behind on insert (empty disables persistence).
+	// StoreMaxBytes caps the on-disk size (0 = cachestore default,
+	// negative = no compaction); StoreFsync is the durability policy
+	// ("never", "interval", "always"; empty = never).
 	CacheDir      string
 	StoreMaxBytes int64
 	StoreFsync    string
@@ -103,7 +104,6 @@ type Server struct {
 	draining atomic.Bool
 
 	cache   *cache
-	decode  *decodeCache
 	breaker *breaker
 	store   *cachestore.Store // nil unless Config.CacheDir is set
 
@@ -119,8 +119,8 @@ type Server struct {
 	degradedCtr *metrics.Counter
 	hits        *metrics.Counter
 	misses      *metrics.Counter
-	decodeHits  *metrics.Counter
-	decodeMiss  *metrics.Counter
+	unparsed    *metrics.Counter
+	parsed      *metrics.Counter
 	poison      *metrics.Counter
 	panics      *metrics.Counter
 	wall        *metrics.Histogram
@@ -183,7 +183,6 @@ func New(conf Config) (*Server, error) {
 		},
 		queue:   make(chan *task, conf.QueueDepth),
 		cache:   newCache(conf.CacheEntries),
-		decode:  newDecodeCache(conf.CacheEntries),
 		breaker: newBreaker(conf.BreakerThreshold, conf.BreakerWindow, conf.BreakerCooldown, conf.now),
 		sf:      make(map[uint64]*call),
 
@@ -196,8 +195,8 @@ func New(conf Config) (*Server, error) {
 		degradedCtr: reg.Counter(MetricDegraded),
 		hits:        reg.Counter(MetricCacheHits),
 		misses:      reg.Counter(MetricCacheMisses),
-		decodeHits:  reg.Counter(MetricDecodeHits),
-		decodeMiss:  reg.Counter(MetricDecodeMisses),
+		unparsed:    reg.Counter(MetricDecodeHits),
+		parsed:      reg.Counter(MetricDecodeMisses),
 		poison:      reg.Counter(MetricCachePoison),
 		panics:      reg.Counter(MetricWorkerPanics),
 		wall:        reg.Histogram(MetricRequestWallNS),
@@ -274,15 +273,13 @@ func (s *Server) Handler() http.Handler {
 // --- request/response wire types -----------------------------------
 
 // compileRequest is the /compile body: exactly one of LAI (a single
-// function in LAI assembly) or IR (a laoc-ir document) must be set;
-// the schema tag in the document selects the decoder. The IR field
-// carries a v1 JSON document directly, or a binary b1 document
-// base64'd as a JSON string; any other schema tag is a 400. A request
-// whose whole body starts with the b1 magic skips JSON entirely — the
-// body IS the IR, with deadline/debug at their defaults. Raw and base64 b1 bodies normalize to the same
-// content bytes, so they share decode- and result-cache keys. The
-// response is always the JSON compileResponse (rendered LAI text plus
-// counters), whatever the request schema.
+// function in LAI assembly) or IR (a laoc-ir-v1 JSON document) must be
+// set; any other schema in the IR field is a 400. A binary b1 document
+// travels only as the whole request body: a body that starts with the
+// b1 magic skips JSON entirely — the body IS the IR, with
+// deadline/debug at their defaults. The response is always the JSON
+// compileResponse (rendered LAI text plus counters), whatever the
+// request schema.
 type compileRequest struct {
 	LAI        string          `json:"lai,omitempty"`
 	IR         json.RawMessage `json:"ir,omitempty"`
@@ -394,64 +391,27 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Decode in the handler: linear work bounded by MaxBodyBytes, and a
-	// malformed body must not occupy a queue slot. Content seen before
-	// skips the parse entirely — the request compiles a copy-on-write
-	// snapshot of the interned frozen master (see decode.go). Only
-	// successfully decoded content is ever interned, so malformed bodies
-	// cannot hit.
-	var content []byte
-	mode := "lai"
-	if req.LAI == "" {
-		content, mode = req.IR, "ir"
-		if len(content) > 0 && content[0] == '"' {
-			// A JSON-string IR field is a base64'd binary document:
-			// normalize to the raw bytes so it keys identically to the
-			// same document posted as a raw body.
-			var b64 string
-			if err := json.Unmarshal(content, &b64); err != nil {
-				s.finish(w, t0, nil, errParse(fmt.Errorf("ir field: %w", err)))
-				return
-			}
-			raw, err := base64.StdEncoding.DecodeString(b64)
-			if err != nil {
-				s.finish(w, t0, nil, errParse(fmt.Errorf("ir field: %w", err)))
-				return
-			}
-			content = raw
-		}
-	} else {
-		content = []byte(req.LAI)
+	// pending is incremented before the draining check so Drain's
+	// "pending==0" means no handler is between admission and response.
+	s.pending.Add(1)
+	defer s.pending.Add(-1)
+	if s.draining.Load() {
+		s.finish(w, t0, nil, errDraining())
+		return
+	}
+
+	// Content seen before is answered here from the result cache: no
+	// parse, no queue slot, no worker. Debug requests never hit — their
+	// behavior is per-request, not content-determined.
+	mode, content := "ir", []byte(req.IR)
+	if req.LAI != "" {
+		mode, content = "lai", []byte(req.LAI)
 	}
 	key := contentKey(mode, content, s.conf.Experiment)
-	f, ok := s.decode.snapshot(key)
-	if ok {
-		s.decodeHits.Inc()
-	} else {
-		var err error
-		if mode == "lai" {
-			f, err = lai.Parse(req.LAI)
-		} else {
-			f, err = ir.Unmarshal(content)
-		}
-		if err != nil {
-			s.finish(w, t0, nil, errParse(err))
+	if req.Debug == nil {
+		if resp := s.lookup(key); resp != nil {
+			s.finish(w, t0, resp, nil)
 			return
-		}
-		master := f
-		var inserted bool
-		f, inserted = s.decode.intern(key, master)
-		// Exact hit/miss accounting: a request that parsed but lost the
-		// intern race to a concurrent twin compiles the winner's snapshot
-		// — a hit. Misses therefore count interned masters, at most one
-		// per distinct content. Only the winner persists (the frozen
-		// master is immutable, so marshaling it after publication is
-		// safe); losers would only write duplicate records.
-		if inserted {
-			s.decodeMiss.Inc()
-			s.persistDecode(key, master)
-		} else {
-			s.decodeHits.Inc()
 		}
 	}
 
@@ -465,11 +425,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
 
-	// Debug requests bypass singleflight (their behavior is
-	// per-request, not content-determined); everything else
-	// deduplicates identical concurrent content.
+	// Debug requests bypass singleflight too; everything else
+	// deduplicates identical concurrent content, so a body is parsed
+	// once however many twins arrive together.
 	if req.Debug != nil {
-		resp, herr := s.admit(ctx, f, key, req.Debug, d)
+		resp, herr := s.compile(ctx, &req, key, d)
 		s.finish(w, t0, resp, herr)
 		return
 	}
@@ -488,13 +448,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			if c.herr != nil && c.herr.ctxClass() && attempt == 0 {
 				continue
 			}
+			s.unparsed.Inc()
 			s.finish(w, t0, c.resp, c.herr)
 			return
 		}
 		c := &call{done: make(chan struct{})}
 		s.sf[key] = c
 		s.sfMu.Unlock()
-		c.resp, c.herr = s.admit(ctx, f, key, nil, d)
+		// A twin may have finished between the lookup above and taking
+		// the slot; its result is in the cache by now.
+		if c.resp = s.lookup(key); c.resp == nil {
+			s.misses.Inc()
+			c.resp, c.herr = s.compile(ctx, &req, key, d)
+		}
 		s.sfMu.Lock()
 		delete(s.sf, key)
 		s.sfMu.Unlock()
@@ -504,16 +470,44 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// lookup answers key from the result cache in the breaker's current
+// mode, or returns nil on a miss. It reads the breaker without
+// claiming a half-open probe: only a request that compiles may probe.
+func (s *Server) lookup(key uint64) *compileResponse {
+	e, ok, poisoned := s.cache.get(resultKey(key, s.breaker.degraded()))
+	if poisoned {
+		s.poison.Inc()
+	}
+	if !ok {
+		return nil
+	}
+	s.hits.Inc()
+	s.unparsed.Inc()
+	return &compileResponse{Name: e.name, Output: string(e.code), Moves: e.moves,
+		Instrs: e.instrs, FellBack: e.fellBack, Degraded: e.degraded, Cached: true}
+}
+
+// compile parses the request body and hands the function to a worker.
+// Parsing stays in the handler: it is linear work bounded by
+// MaxBodyBytes, and a malformed body must not occupy a queue slot.
+func (s *Server) compile(ctx context.Context, req *compileRequest, key uint64, d time.Duration) (*compileResponse, *httpError) {
+	s.parsed.Inc()
+	var f *ir.Func
+	var err error
+	if req.LAI != "" {
+		f, err = lai.Parse(req.LAI)
+	} else {
+		f, err = ir.Unmarshal(req.IR)
+	}
+	if err != nil {
+		return nil, errParse(err)
+	}
+	return s.admit(ctx, f, key, req.Debug, d)
+}
+
 // admit runs admission control and waits for the worker: the bounded
 // queue is the only buffer, and a full queue sheds immediately.
 func (s *Server) admit(ctx context.Context, f *ir.Func, key uint64, debug *debugRequest, d time.Duration) (*compileResponse, *httpError) {
-	// pending is incremented before the draining check so Drain's
-	// "pending==0" means no handler is between admission and response.
-	s.pending.Add(1)
-	defer s.pending.Add(-1)
-	if s.draining.Load() {
-		return nil, errDraining()
-	}
 	t := &task{ctx: ctx, f: f, key: key, debug: debug, deadline: d, done: make(chan struct{})}
 	select {
 	case s.queue <- t:
@@ -591,19 +585,6 @@ func (s *Server) runTask(t *task) {
 	defer s.inflight.Dec()
 
 	degraded, probeClass := s.breaker.plan()
-	ckey := resultKey(t.key, degraded)
-	if t.debug == nil {
-		if e, ok, poisoned := s.cache.get(ckey); ok {
-			s.hits.Inc()
-			t.resp = &compileResponse{Name: e.name, Output: string(e.code), Moves: e.moves,
-				Instrs: e.instrs, FellBack: e.fellBack, Degraded: e.degraded, Cached: true}
-			return
-		} else if poisoned {
-			s.poison.Inc()
-		}
-		s.misses.Inc()
-	}
-
 	conf := s.full
 	exp := s.conf.Experiment
 	if degraded {
@@ -658,6 +639,7 @@ func (s *Server) runTask(t *task) {
 	if t.debug == nil {
 		e := &cacheEntry{code: []byte(code), name: t.f.Name,
 			moves: res.Moves, instrs: res.Instrs, fellBack: res.FellBack, degraded: degraded}
+		ckey := resultKey(t.key, degraded)
 		s.cache.put(ckey, e)
 		s.persistResult(ckey, e)
 	}

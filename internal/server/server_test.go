@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -160,6 +161,11 @@ func TestCompileIR(t *testing.T) {
 
 func TestCompileRejects(t *testing.T) {
 	_, hs, _ := startServer(t, Config{})
+	b1, err := ir.MarshalBinary(testprog.Rand(3, testprog.DefaultRandOptions()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1String, _ := json.Marshal(base64.StdEncoding.EncodeToString(b1))
 	cases := []struct {
 		name string
 		body any
@@ -170,6 +176,8 @@ func TestCompileRejects(t *testing.T) {
 		{"bad-lai", compileRequest{LAI: ".func broken\n"}, "parse"},
 		{"bad-ir", compileRequest{IR: json.RawMessage(`{"schema":"nope"}`)}, "parse"},
 		{"v2-ir", compileRequest{IR: json.RawMessage(`{"schema":"laoc-ir-v2","name":"f","nphys":25,"vnames":[],"blocks":[],"order":[]}`)}, "parse"},
+		// b1 travels only as the raw body, never base64'd in the "ir" field.
+		{"b1-string-ir", compileRequest{IR: b1String}, "parse"},
 		{"debug-disabled", compileRequest{LAI: srcSimple, Debug: &debugRequest{SleepMS: 1}}, "parse"},
 	}
 	for _, tc := range cases {
@@ -380,6 +388,97 @@ func TestBreakerDegradesAndRecovers(t *testing.T) {
 	}
 	if counterValue(reg, MetricBreakerProbes) == 0 {
 		t.Fatal("probe not counted")
+	}
+}
+
+// TestBreakerProbeNotConsumedByCacheHit is the regression test for a
+// half-open probe handed to a request that was then answered from the
+// cache: the probe never reported back, so the class stayed open and
+// every later request stayed degraded. A cached answer must not claim
+// the probe; the next request that compiles must get it.
+func TestBreakerProbeNotConsumedByCacheHit(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	_, hs, reg := startServer(t, Config{
+		AllowDebug:       true,
+		BreakerThreshold: 2,
+		BreakerWindow:    time.Minute,
+		BreakerCooldown:  cooldown,
+	})
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple}); rep.status != http.StatusOK {
+		t.Fatalf("priming: status %d", rep.status)
+	}
+	for i := 0; i < 2; i++ {
+		rep := postCompile(t, hs.URL, compileRequest{
+			LAI:   srcSimple,
+			Debug: &debugRequest{PanicPass: "pinning-sp"},
+		})
+		if rep.status != http.StatusOK || !rep.resp.FellBack {
+			t.Fatalf("faulted request %d: status=%d fellBack=%v", i, rep.status, rep.resp.FellBack)
+		}
+	}
+	time.Sleep(cooldown + 20*time.Millisecond)
+	// The content cached before the trip: the first request after the
+	// cooldown, and the one a probe used to be wasted on.
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple}); rep.status != http.StatusOK || rep.resp.Degraded {
+		t.Fatalf("first request after cooldown: status=%d %+v", rep.status, rep.resp)
+	}
+	for seed := int64(31); seed < 34; seed++ {
+		time.Sleep(cooldown + 20*time.Millisecond)
+		doc, err := ir.MarshalV1(testprog.Rand(seed, testprog.DefaultRandOptions()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := postCompile(t, hs.URL, compileRequest{IR: doc})
+		if rep.status != http.StatusOK || rep.resp.Degraded {
+			t.Fatalf("seed %d: status=%d degraded=%v — the breaker never recovered", seed, rep.status, rep.resp.Degraded)
+		}
+	}
+	if got := counterValue(reg, MetricBreakerProbes); got != 1 {
+		t.Fatalf("breaker probes = %d, want 1", got)
+	}
+}
+
+// TestCacheHitBypassesFullQueue pins where a hit is answered: in the
+// handler, before admission. With the one worker busy and the queue
+// full, cached content is still served while new content is shed.
+func TestCacheHitBypassesFullQueue(t *testing.T) {
+	s, hs, reg := startServer(t, Config{Workers: 1, QueueDepth: 1, AllowDebug: true})
+	first := postCompile(t, hs.URL, compileRequest{LAI: srcSimple})
+	if first.status != http.StatusOK {
+		t.Fatalf("priming: status %d", first.status)
+	}
+	var wg sync.WaitGroup
+	block := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postCompile(t, hs.URL, compileRequest{LAI: srcSimple, DeadlineMS: 5000,
+				Debug: &debugRequest{SleepMS: 40}})
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	block()
+	waitFor("the worker to start", func() bool { return s.inflight.Value() == 1 })
+	block()
+	waitFor("the queue to fill", func() bool { return len(s.queue) == cap(s.queue) })
+
+	rep := postCompile(t, hs.URL, compileRequest{LAI: srcSimple})
+	if rep.status != http.StatusOK || !rep.resp.Cached || rep.resp.Output != first.resp.Output {
+		t.Fatalf("cached content under a full queue: status=%d cached=%v, want 200 cached", rep.status, rep.resp.Cached)
+	}
+	other := strings.Replace(srcSimple, "simple", "other", 1)
+	if rep := postCompile(t, hs.URL, compileRequest{LAI: other}); rep.status != http.StatusTooManyRequests {
+		t.Fatalf("new content under a full queue: status %d, want 429", rep.status)
+	}
+	wg.Wait()
+	if got := counterValue(reg, MetricDecodeMisses); got != 4 {
+		t.Fatalf("parsed %d bodies, want 4 (priming, two blockers, the shed request)", got)
 	}
 }
 

@@ -7,7 +7,6 @@ package workload
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -101,24 +100,9 @@ func IRRequest(f *ir.Func, deadlineMS int) (ClientRequest, error) {
 	return ClientRequest{IR: doc, DeadlineMS: deadlineMS}, nil
 }
 
-// B1Request builds an IR ClientRequest carrying the binary b1 schema
-// base64'd into the JSON "ir" field — the shape for clients that want
-// the binary codec but still need deadline/debug riders.
-func B1Request(f *ir.Func, deadlineMS int) (ClientRequest, error) {
-	doc, err := ir.MarshalBinary(f)
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	quoted, err := json.Marshal(base64.StdEncoding.EncodeToString(doc))
-	if err != nil {
-		return ClientRequest{}, err
-	}
-	return ClientRequest{IR: quoted, DeadlineMS: deadlineMS}, nil
-}
-
 // B1RawRequest builds a whole-body binary request: the POST body is
-// the b1 document itself, no JSON envelope. The server normalizes raw
-// and base64 b1 to the same cache keys.
+// the b1 document itself, no JSON envelope — the only form in which
+// the server accepts b1.
 func B1RawRequest(f *ir.Func) (ClientRequest, error) {
 	doc, err := ir.MarshalBinary(f)
 	if err != nil {
@@ -283,12 +267,11 @@ func Drive(baseURL string, reqs []ClientRequest, opt DriveOptions, outcomes []in
 // sprinkle. Debug-carrying requests require the server to run with
 // -allow-debug.
 //
-// The valid compiles rotate v1 JSON → base64'd b1 → raw binary b1 body
-// → v1 JSON by index, so one drive exercises the server's whole schema
-// negotiation surface. The period is four, so over a -distinct pool
-// whose size is a multiple of four every function keeps one schema
-// (and one decode record). Sprinkle requests stay on JSON shapes
-// (debug riders cannot travel in a raw body).
+// The valid compiles alternate v1 JSON (even index) and a raw binary
+// b1 body (odd index), so one drive exercises both wire schemas. The
+// period is two, so over a -distinct pool of even size every function
+// keeps one schema (and one result record). Sprinkle requests stay on
+// JSON (debug riders cannot travel in a raw body).
 func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, deadlineEvery int) ([]ClientRequest, error) {
 	reqs := make([]ClientRequest, len(funcs))
 	for i, f := range funcs {
@@ -311,12 +294,9 @@ func MixedRequests(funcs []*ir.Func, deadlineMS, faultEvery, malformedEvery, dea
 		default:
 			var r ClientRequest
 			var err error
-			switch i % 4 {
-			case 1:
-				r, err = B1Request(f, deadlineMS)
-			case 2:
+			if i%2 == 1 {
 				r, err = B1RawRequest(f)
-			default:
+			} else {
 				r, err = IRRequest(f, deadlineMS)
 			}
 			if err != nil {
