@@ -123,6 +123,7 @@ func main() {
 		}
 	}
 
+	withMetrics := pipeline.WithMetrics(reg)
 	mismatched := false
 	for _, f := range funcs {
 		var before *ir.ExecResult
@@ -149,7 +150,7 @@ func main() {
 			fmt.Printf("; ---- %s: pruned SSA ----\n%s\n", g.Name, g)
 		}
 
-		res, err := pipeline.Run(f, conf, pipeline.WithExperiment(*exp), pipeline.WithTracer(tracer), pipeline.WithMetrics(reg))
+		res, err := pipeline.Run(f, conf, pipeline.WithExperiment(*exp), pipeline.WithTracer(tracer), withMetrics)
 		if err != nil {
 			var pe *pipeline.PassError
 			if errors.As(err, &pe) {

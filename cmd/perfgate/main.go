@@ -12,7 +12,7 @@
 // observation count must match exactly — the headline perf claims of
 // this repo are deterministic counter deltas (interference kill-query
 // volume, liveness build-vs-revalidate splits, move counts via the
-// pass-counter mirror), so any drift is a behavior change that must be
+// pass counters), so any drift is a behavior change that must be
 // re-baselined deliberately, not absorbed silently. Histograms marked
 // deterministic (the MAXLIVE distribution) must match sum/min/max too.
 // Total wall time across *_wall_ns histograms may regress up to

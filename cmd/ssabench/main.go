@@ -11,12 +11,16 @@
 //	ssabench -verify      # all tables, re-verifying IR after every pass
 //	ssabench -list        # list suites and sizes
 //
-// ssabench doubles as the profiling harness for the pipeline:
+// ssabench doubles as the profiling harness for the pipeline. Every
+// pipeline run emits one stream of per-pass events; the flags below
+// attach sinks to it (the JSONL writer, the metrics registry) or read
+// the registry's aggregation of it:
 //
 //	ssabench -trace-json trace.jsonl     # per-pass events for every run
 //	ssabench -cpuprofile cpu.pprof       # CPU profile of the regeneration
 //	ssabench -memprofile mem.pprof       # heap profile at exit
-//	ssabench -trace-counters             # summed per-pass counters at exit
+//	ssabench -trace-counters             # summed per-pass counters and
+//	                                     # analysis cache counters at exit
 //	ssabench -metrics-out metrics.json   # registry snapshot (counters,
 //	                                     # histograms, host stamp) at exit —
 //	                                     # the format cmd/perfgate compares
@@ -49,7 +53,6 @@ import (
 	"syscall"
 	"time"
 
-	"outofssa/internal/analysis"
 	"outofssa/internal/interference"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
@@ -64,9 +67,8 @@ func main() {
 	list := flag.Bool("list", false, "list the workload suites and exit")
 	verifyMode := flag.Bool("verify", false, "checked mode: re-verify IR invariants after every pass of every run")
 	parallel := flag.Int("parallel", 1, "worker pool size for pipeline runs; 0 means GOMAXPROCS (output is identical at any setting)")
-	cacheStats := flag.Bool("cache-stats", false, "print analysis cache counters (requests/computes/reuses) to stderr at exit")
 	traceJSON := flag.String("trace-json", "", "write per-pass trace events as JSONL to `file`")
-	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run to stderr at exit")
+	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run, and the analysis cache counters, to stderr at exit")
 	engineName := flag.String("interference-engine", "", "resource-interference engine: dominance (default) or pairwise (the O(k²) oracle)")
 	benchInterference := flag.Bool("bench-interference", false, "time the selected table workload (default: table 2) under both interference engines, check byte-identical output, and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
@@ -141,15 +143,6 @@ func main() {
 		}()
 	}
 
-	if *cacheStats {
-		defer func() {
-			cs := analysis.Stats()
-			fmt.Fprintf(os.Stderr, "analysis cache: liveness %d requests, %d computes, %d reused; dominators %d requests, %d computes, %d reused\n",
-				cs.LivenessRequests, cs.LivenessComputes, cs.LivenessReused,
-				cs.DominatorsRequests, cs.DominatorsComputes, cs.DominatorsReused)
-		}()
-	}
-
 	var tracer obs.Tracer
 	if *traceJSON != "" {
 		w, err := os.Create(*traceJSON)
@@ -159,16 +152,14 @@ func main() {
 		defer w.Close()
 		tracer = obs.NewJSONL(w)
 	}
-	if *traceCounters {
-		cs := newCounterSum()
-		defer cs.dump(os.Stderr)
-		tracer = obs.Multi(tracer, cs)
-	}
 
-	if *metricsOut != "" || *metricsAddr != "" {
+	if *traceCounters || *metricsOut != "" || *metricsAddr != "" {
 		// Route every table batch through the process-wide registry (the
 		// analysis-cache counters land there unconditionally).
 		stats.Metrics = metrics.Default
+		if *traceCounters {
+			defer func() { dumpCounters(os.Stderr, metrics.Default.Snapshot()) }()
+		}
 		if *metricsAddr != "" {
 			addr, stop, err := metrics.Serve(*metricsAddr, metrics.Default)
 			if err != nil {
@@ -176,24 +167,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "ssabench: serving metrics on http://%s/metrics\n", addr)
 			defer stop()
-		}
-		if *verifyMode && !*benchInterference {
-			// Checked mode: cross-reference the registry's pass-counter
-			// mirror against an independent shadow sum of the trace-event
-			// counters. Any skew — a counter bumped without its event, or
-			// vice versa — is a hard failure (the faultinject MetricsSkew
-			// class exists to prove this trips). Runs after the snapshot
-			// defer below, so the snapshot is written either way.
-			shadow := newCounterSum()
-			tracer = obs.Multi(tracer, shadow)
-			defer func() {
-				snap := metrics.Default.Snapshot()
-				if err := metrics.SelfCheckPassCounters(snap, pipeline.MetricPassCounters, shadow.sums); err != nil {
-					fmt.Fprintln(os.Stderr, "ssabench: metrics self-check:", err)
-					os.Exit(1)
-				}
-				fmt.Fprintln(os.Stderr, "ssabench: metrics self-check: registry pass counters match trace totals")
-			}()
 		}
 		if *metricsOut != "" {
 			out := *metricsOut
@@ -251,33 +224,48 @@ func main() {
 	}
 }
 
-// counterSum is a Tracer that accumulates every per-pass counter across
-// all runs, giving a whole-workload view of the interference query
-// volume (the per-event values are in the JSONL trace).
-type counterSum struct{ sums map[string]int64 }
-
-func newCounterSum() *counterSum { return &counterSum{sums: make(map[string]int64)} }
-
-func (c *counterSum) RunStart(string, string, obs.IRStat)      {}
-func (c *counterSum) PassStart(string, string, string)         {}
-func (c *counterSum) RunEnd(string, string, obs.IRStat, int64) {}
-func (c *counterSum) PassEnd(ev *obs.Event) {
-	for k, v := range ev.Counters {
-		c.sums[k] += v
+// passCounters reads the pass-counter family of a registry snapshot
+// back into the trace-event key space: "<pass>.<counter>" → total over
+// every run.
+func passCounters(s *metrics.Snapshot) map[string]int64 {
+	sums := make(map[string]int64)
+	for _, c := range s.Counters {
+		if c.Name != pipeline.MetricPassCounters {
+			continue
+		}
+		var pass, counter string
+		for _, l := range c.Labels {
+			switch l.Key {
+			case "pass":
+				pass = l.Value
+			case "counter":
+				counter = l.Value
+			}
+		}
+		sums[pass+"."+counter] += c.Value
 	}
+	return sums
 }
 
-func (c *counterSum) dump(w io.Writer) {
-	for _, k := range obs.SortedKeys(c.sums) {
-		fmt.Fprintf(w, "counter %-55s %12d\n", k, c.sums[k])
+// dumpCounters prints the pass counters and the laoc_analysis_* cache
+// counters of s as one list sorted by key.
+func dumpCounters(w io.Writer, s *metrics.Snapshot) {
+	sums := passCounters(s)
+	for _, c := range s.Counters {
+		if strings.HasPrefix(c.Name, "laoc_analysis_") {
+			sums[c.Name] += c.Value
+		}
+	}
+	for _, k := range obs.SortedKeys(sums) {
+		fmt.Fprintf(w, "counter %-55s %12d\n", k, sums[k])
 	}
 }
 
 // sumSuffix totals the counters whose key ends in suffix — e.g. every
 // pass's ".Interference.KillQueries".
-func (c *counterSum) sumSuffix(suffix string) int64 {
+func sumSuffix(sums map[string]int64, suffix string) int64 {
 	var t int64
-	for k, v := range c.sums {
+	for k, v := range sums {
 		if strings.HasSuffix(k, suffix) {
 			t += v
 		}
@@ -298,7 +286,8 @@ var tableRunners = map[int]func(obs.Tracer) (*stats.Table, error){
 // pairwise oracle engine and the dominance sweep engine, requires their
 // table outputs to be byte-identical (exit 1 otherwise — this is the
 // correctness gate the CI bench-smoke job relies on), and reports the
-// wall-clock ratio plus the interference counter totals per engine.
+// wall-clock ratio plus the interference counter totals per engine,
+// read from a fresh registry per repetition.
 func runBenchInterference(table int) error {
 	if table == 0 {
 		table = 2
@@ -310,13 +299,13 @@ func runBenchInterference(table int) error {
 	fmt.Printf("host: %s\n", obs.HostInfo())
 	const reps = 3
 	type result struct {
-		best   time.Duration
-		all    []time.Duration
-		output string
-		cs     *counterSum
+		best     time.Duration
+		all      []time.Duration
+		output   string
+		counters map[string]int64
 	}
-	prev := interference.DefaultEngine
-	defer func() { interference.DefaultEngine = prev }()
+	prev, prevMetrics := interference.DefaultEngine, stats.Metrics
+	defer func() { interference.DefaultEngine, stats.Metrics = prev, prevMetrics }()
 
 	engines := []interference.Engine{interference.EnginePairwise, interference.EngineDominance}
 	results := make(map[interference.Engine]*result, len(engines))
@@ -324,9 +313,10 @@ func runBenchInterference(table int) error {
 		interference.DefaultEngine = e
 		r := &result{}
 		for i := 0; i < reps; i++ {
-			cs := newCounterSum()
+			reg := metrics.New()
+			stats.Metrics = reg
 			start := time.Now()
-			t, err := run(cs)
+			t, err := run(nil)
 			d := time.Since(start)
 			if err != nil {
 				return fmt.Errorf("engine %s: %v", e, err)
@@ -336,7 +326,7 @@ func runBenchInterference(table int) error {
 				r.best = d
 			}
 			if i == 0 {
-				r.output, r.cs = t.String(), cs
+				r.output, r.counters = t.String(), passCounters(reg.Snapshot())
 			} else if t.String() != r.output {
 				return fmt.Errorf("engine %s: table %d output differs between repetitions", e, table)
 			}
@@ -352,7 +342,7 @@ func runBenchInterference(table int) error {
 			"Interference.ResourceInterfere", "Interference.KilledMemoHits",
 			"Interference.InterfereMemoHits",
 		} {
-			fmt.Printf("  %-32s %12d\n", suffix, r.cs.sumSuffix(suffix))
+			fmt.Printf("  %-32s %12d\n", suffix, sumSuffix(r.counters, suffix))
 		}
 	}
 

@@ -5,30 +5,32 @@ import (
 	"strings"
 	"testing"
 
+	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
 	"outofssa/internal/testprog"
 )
 
-// TestCounterDumpDeterministic pins the emission-order contract for
-// every counter-map dump: identical workloads must produce
-// byte-identical output across repeated runs, regardless of Go's map
-// iteration order. This is what makes -trace-counters output diffable
-// between CI runs.
+// TestCounterDumpDeterministic pins the emission-order contract of the
+// -trace-counters dump: identical workloads must produce byte-identical
+// output across repeated runs, regardless of Go's map iteration order
+// and of the order the registry cells were created in. This is what
+// makes -trace-counters output diffable between CI runs.
 func TestCounterDumpDeterministic(t *testing.T) {
 	run := func() []byte {
-		cs := newCounterSum()
+		reg := metrics.New()
+		withMetrics := pipeline.WithMetrics(reg)
 		conf, err := pipeline.Preset(pipeline.ExpLphiABIC)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range testprog.All() {
 			if _, err := pipeline.Run(f, conf,
-				pipeline.WithExperiment(pipeline.ExpLphiABIC), pipeline.WithTracer(cs)); err != nil {
+				pipeline.WithExperiment(pipeline.ExpLphiABIC), withMetrics); err != nil {
 				t.Fatal(err)
 			}
 		}
 		var buf bytes.Buffer
-		cs.dump(&buf)
+		dumpCounters(&buf, reg.Snapshot())
 		return buf.Bytes()
 	}
 	first := run()

@@ -7,9 +7,9 @@ import (
 
 // SortedKeys returns the keys of a counter map in sorted order. Every
 // human- or machine-readable emission of a counter map (trace summary
-// verbose listing, ssabench -trace-counters dump, metrics mirrors)
-// ranges over this instead of the map directly, so repeated runs
-// produce byte-identical output regardless of map iteration order.
+// verbose listing, ssabench -trace-counters dump) ranges over this
+// instead of the map directly, so repeated runs produce byte-identical
+// output regardless of map iteration order.
 func SortedKeys(m map[string]int64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

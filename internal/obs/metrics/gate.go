@@ -124,50 +124,3 @@ func cellKey(name string, labels map[string]string) string {
 	b.WriteByte('}')
 	return b.String()
 }
-
-// SelfCheckPassCounters cross-references the registry's per-pass
-// counter mirror (the counters named metricName, labelled pass= and
-// counter=) against totals independently accumulated from the trace
-// event stream. The two are fed from the same pass Stats structs, so
-// any divergence means a metrics-skew fault: a counter bumped without
-// its underlying event, or an event dropped on the way to the registry.
-// Checked mode runs this before trusting a snapshot
-// (faultinject.InjectMetricsSkew is the corresponding corruption
-// class). traceTotals keys are "<pass>.<Counter.Path>" as produced by
-// obs.Counters.
-func SelfCheckPassCounters(s *Snapshot, metricName string, traceTotals map[string]int64) error {
-	var skews []string
-	seen := make(map[string]bool, len(traceTotals))
-	for _, c := range s.Counters {
-		if c.Name != metricName {
-			continue
-		}
-		var pass, counter string
-		for _, l := range c.Labels {
-			switch l.Key {
-			case "pass":
-				pass = l.Value
-			case "counter":
-				counter = l.Value
-			}
-		}
-		key := pass + "." + counter
-		seen[key] = true
-		if want, ok := traceTotals[key]; !ok {
-			skews = append(skews, fmt.Sprintf("%s: registry has %d, no trace events", key, c.Value))
-		} else if want != c.Value {
-			skews = append(skews, fmt.Sprintf("%s: registry %d != trace total %d", key, c.Value, want))
-		}
-	}
-	for k, v := range traceTotals {
-		if !seen[k] && v != 0 {
-			skews = append(skews, fmt.Sprintf("%s: trace total %d missing from registry", k, v))
-		}
-	}
-	if len(skews) == 0 {
-		return nil
-	}
-	sort.Strings(skews)
-	return fmt.Errorf("metrics self-check: %d counter(s) skewed against trace totals:\n  %s",
-		len(skews), strings.Join(skews, "\n  "))
-}

@@ -147,38 +147,6 @@ func TestGateAppendOnly(t *testing.T) {
 	}
 }
 
-func TestSelfCheckPassCounters(t *testing.T) {
-	r := New()
-	mirror := func(pass, counter string, v int64) {
-		r.Counter("laoc_pc_total", L("pass", pass), L("counter", counter)).Add(v)
-	}
-	mirror("out-leung", "Leung.PhiMoves", 12)
-	mirror("pinning-phi", "Interference.KillQueries", 900)
-	trace := map[string]int64{
-		"out-leung.Leung.PhiMoves":             12,
-		"pinning-phi.Interference.KillQueries": 900,
-		"pinning-phi.Interference.ZeroCounter": 0, // zero totals need no mirror cell
-	}
-	if err := SelfCheckPassCounters(r.Snapshot(), "laoc_pc_total", trace); err != nil {
-		t.Fatalf("matching mirror flagged: %v", err)
-	}
-
-	// Registry bumped without the underlying trace total: skew.
-	mirror("out-leung", "Leung.PhiMoves", 1)
-	err := SelfCheckPassCounters(r.Snapshot(), "laoc_pc_total", trace)
-	if err == nil || !strings.Contains(err.Error(), "out-leung.Leung.PhiMoves") {
-		t.Fatalf("registry-side skew not caught: %v", err)
-	}
-
-	// Trace total with no registry cell: skew the other way.
-	mirror("out-leung", "Leung.PhiMoves", -1) // restore
-	trace["out-leung.Leung.Repairs"] = 5
-	err = SelfCheckPassCounters(r.Snapshot(), "laoc_pc_total", trace)
-	if err == nil || !strings.Contains(err.Error(), "Leung.Repairs") {
-		t.Fatalf("trace-side skew not caught: %v", err)
-	}
-}
-
 func TestFileSnapshotRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	host := obs.HostInfo()

@@ -3,6 +3,9 @@
 // deltas and IR provenance (move/instruction/φ/pin counts before and
 // after each pass), plus pluggable sinks — a human-readable summary
 // writer, a JSONL event stream for machine diffing, and a no-op tracer.
+// The metrics registry is fed the same way: internal/pipeline attaches
+// it as one more sink of this stream, so traces and metrics are two
+// aggregations of the same events.
 //
 // The instrumented pass runner in internal/pipeline emits these events;
 // with a nil Tracer the runner takes a fast path that performs no
@@ -35,7 +38,8 @@ type IRStat struct {
 }
 
 // Snapshot measures f. It is cheap (linear scans, no analyses) but not
-// free; the pipeline runner only calls it when a tracer is attached.
+// free; the pipeline runner only calls it when a tracer is attached,
+// once per pass boundary.
 func Snapshot(f *ir.Func) IRStat {
 	return IRStat{
 		Moves:         f.CountMoves(),
@@ -75,6 +79,10 @@ type Event struct {
 	// verifier violation), empty on success. A run whose last event carries
 	// Err and that has no run_end record died on that pass.
 	Err string `json:"err,omitempty"`
+	// Cause is the failure behind Err as an error value, for in-process
+	// sinks that classify it (the metrics sink counts contained panics
+	// through errors.As). It is not serialized.
+	Cause error `json:"-"`
 }
 
 // Tracer receives the event stream of instrumented pipeline runs. One

@@ -84,20 +84,23 @@ func WithBatchTracer(tr obs.Tracer) BatchOption {
 }
 
 // WithBatchMetrics attaches reg to every job (as WithMetrics does for
-// one run) and additionally maintains the batch-level metrics: queue
-// depth, jobs in flight, completed jobs, and the per-job wall-time
-// histogram. All updates are atomic cell writes, so unlike the tracer
-// no recording/replay indirection is needed — counter totals are
-// deterministic at any parallelism because atomic adds commute, while
-// gauges and wall histograms legitimately reflect the actual schedule.
+// one run, with one sink for the whole batch) and additionally
+// maintains the batch-level metrics: queue depth, jobs in flight,
+// completed jobs, and the per-job wall-time histogram. All updates are
+// atomic cell writes, so the sink sits in each job's live tracer chain
+// rather than behind the recording/replay indirection — counter totals
+// are deterministic at any parallelism because atomic adds commute,
+// while gauges and wall histograms legitimately reflect the actual
+// schedule.
 func WithBatchMetrics(reg *metrics.Registry) BatchOption {
-	return func(bc *batchConfig) { bc.metrics = reg; registerHelp(reg) }
+	return func(bc *batchConfig) { bc.metrics = reg }
 }
 
-// batchMetrics holds the pre-looked-up instrument handles so workers
-// never touch the registry lock.
+// batchMetrics holds the job option carrying the batch's metrics sink
+// and the pre-looked-up instrument handles, so workers never touch the
+// registry lock for batch-level updates.
 type batchMetrics struct {
-	reg      *metrics.Registry
+	run      Option
 	queue    *metrics.Gauge
 	inflight *metrics.Gauge
 	jobs     *metrics.Counter
@@ -106,7 +109,7 @@ type batchMetrics struct {
 
 func newBatchMetrics(reg *metrics.Registry, queued int) *batchMetrics {
 	bm := &batchMetrics{
-		reg:      reg,
+		run:      WithMetrics(reg),
 		queue:    reg.Gauge(MetricBatchQueueDepth),
 		inflight: reg.Gauge(MetricBatchInflight),
 		jobs:     reg.Counter(MetricBatchJobs),
@@ -325,7 +328,7 @@ func runJob(ctx context.Context, j *Job, out *JobResult, tr obs.Tracer, bm *batc
 	f := j.Build()
 	out.Func = f
 	out.Result, out.Err = Run(f, j.Config,
-		WithExperiment(j.Experiment), WithTracer(tr), WithMetrics(bm.reg), WithContext(ctx))
+		WithExperiment(j.Experiment), WithTracer(tr), bm.run, WithContext(ctx))
 	wall := time.Since(t0).Nanoseconds()
 	bm.inflight.Dec()
 	if stage != nil {

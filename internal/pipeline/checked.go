@@ -20,7 +20,6 @@ import (
 	"outofssa/internal/ir"
 	"outofssa/internal/naiveabi"
 	"outofssa/internal/obs"
-	"outofssa/internal/obs/metrics"
 	"outofssa/internal/outofssa/naive"
 	"outofssa/internal/verify"
 )
@@ -73,10 +72,6 @@ type runOpts struct {
 	// verification — the seam the fault-injection tests corrupt the IR
 	// through.
 	faultHook func(pass string, f *ir.Func)
-	// metrics, when non-nil, makes the runner record per-pass
-	// histograms and counters (see pipeline/metrics.go). Nil keeps the
-	// zero-allocation fast path.
-	metrics *metrics.Registry
 	// ctx, when non-nil, is checked between passes: a done context
 	// aborts the run with a *PassError wrapping ctx.Err() (WithContext).
 	ctx context.Context
@@ -174,7 +169,7 @@ func fallbackRun(f, backup *ir.Func, exp string, tr obs.Tracer, opts runOpts, r 
 	// caller's context and exec budget carry over, so a dead client also
 	// cancels its fallback.
 	return runPasses(f, exp, ps, tr,
-		runOpts{verify: true, metrics: opts.metrics, ctx: opts.ctx, execBudget: opts.execBudget})
+		runOpts{verify: true, ctx: opts.ctx, execBudget: opts.execBudget})
 }
 
 // crossCheckArgs are the argument vectors the fallback validates on.

@@ -1,8 +1,10 @@
 // Metrics wiring for the pass runner and the batch driver: names,
-// HELP strings, and the per-pass recording hook. The registry is
-// attached per run with WithMetrics (or per batch with
-// WithBatchMetrics); with no registry the runner keeps the nil-tracer
-// zero-allocation fast path, pinned by TestNilMetricsAllocatesNothing.
+// HELP strings, and the metrics sink. The per-pass metrics are an
+// aggregation of the trace event stream: WithMetrics (or
+// WithBatchMetrics) adds a sink to the run's tracer chain, so the
+// registry sees exactly the events a tracer sees. With no registry the
+// runner keeps the nil-tracer zero-allocation fast path, pinned by
+// TestNilMetricsAllocatesNothing.
 package pipeline
 
 import (
@@ -33,16 +35,13 @@ const (
 	MetricPassErrors = "laoc_pipeline_pass_errors_total"
 	MetricPanics     = "laoc_pipeline_panics_total"
 	MetricFallbacks  = "laoc_pipeline_fallbacks_total"
-	// MetricPassCounters mirrors every flattened pass counter
-	// ("<pass>.<Field.Path>" in trace events) onto the registry as
-	// {pass=...,counter=...}. Both feeds come from the same Stats
-	// structs, so registry totals match `-trace-counters` totals
-	// exactly; metrics.SelfCheckPassCounters enforces that in checked
-	// mode.
+	// MetricPassCounters sums every flattened pass counter of the event
+	// stream ("<pass>.<Field.Path>" in trace events) as
+	// {pass=...,counter=...}.
 	MetricPassCounters = "laoc_pipeline_pass_counters_total"
 	// MetricMaxLive is the derived per-function MAXLIVE distribution
-	// (register pressure), computed post-pipeline via the query
-	// liveness engine. Deterministic: perfgate compares it exactly.
+	// (register pressure), computed post-pipeline from the memoized
+	// liveness. Deterministic: perfgate compares it exactly.
 	MetricMaxLive = "laoc_liveness_maxlive"
 
 	// Batch driver metrics (RunBatch).
@@ -102,22 +101,32 @@ func init() {
 	d.SetHelp(MetricIRUnmarshals, "IR documents decoded, by wire schema.")
 }
 
-// WithMetrics attaches a metrics registry to one Run call: the pass
-// runner records per-pass wall/alloc histograms, error/panic/fallback
-// counters, the flattened pass-counter mirror, and the derived MAXLIVE
-// histogram. A nil registry is the disabled fast path — identical to
-// not passing the option.
+// WithMetrics attaches a metrics registry to one Run call. The per-pass
+// metrics — wall/alloc histograms, error and panic counters, the pass
+// counters — and the run wall histogram come from a sink added to the
+// run's tracer chain; the run outcomes (runs, fallbacks, MAXLIVE) are
+// recorded by the run itself. The sink is built, and the HELP strings
+// registered, when WithMetrics is called: callers that run many
+// functions against one registry build the option once and reuse it. A
+// nil registry is the disabled fast path — identical to not passing
+// the option.
 func WithMetrics(reg *metrics.Registry) Option {
+	if reg == nil {
+		return func(*runConfig) {}
+	}
+	sink := newMetricsSink(reg)
 	return func(rc *runConfig) {
 		rc.metrics = reg
-		registerHelp(reg)
+		rc.tracer = obs.Multi(rc.tracer, sink)
 	}
 }
 
-func registerHelp(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
+// metricsSink is the registry's end of the event stream: an obs.Tracer
+// that aggregates pass and run events into the pipeline metrics. Every
+// update is an atomic cell write, so one sink serves concurrent runs.
+type metricsSink struct{ reg *metrics.Registry }
+
+func newMetricsSink(reg *metrics.Registry) *metricsSink {
 	reg.SetHelp(MetricRuns, "Pipeline runs started, by experiment configuration.")
 	reg.SetHelp(MetricRunWallNS, "Whole-run wall time in nanoseconds, by experiment configuration.")
 	reg.SetHelp(MetricPassWallNS, "Per-pass wall time in nanoseconds.")
@@ -125,30 +134,35 @@ func registerHelp(reg *metrics.Registry) {
 	reg.SetHelp(MetricPassErrors, "Failed passes: errors, contained panics, checked-mode violations.")
 	reg.SetHelp(MetricPanics, "Panics contained by the per-pass recover.")
 	reg.SetHelp(MetricFallbacks, "Runs that fell back to the naive out-of-SSA translation.")
-	reg.SetHelp(MetricPassCounters, "Flattened pass counters, mirroring the trace-event counter totals.")
+	reg.SetHelp(MetricPassCounters, "Flattened pass counters, summed over the trace events.")
 	reg.SetHelp(MetricMaxLive, "Per-function MAXLIVE (maximum simultaneously live values) after the pipeline.")
 	reg.SetHelp(MetricBatchJobs, "Batch jobs completed.")
 	reg.SetHelp(MetricBatchJobWallNS, "Per-job wall time in nanoseconds (build + run).")
 	reg.SetHelp(MetricBatchInflight, "Batch jobs currently executing.")
 	reg.SetHelp(MetricBatchQueueDepth, "Batch jobs not yet claimed by a worker.")
+	return &metricsSink{reg: reg}
 }
 
-// recordPassMetrics feeds one completed pass into the registry. The
-// counters map is the same flatten the trace event carries, so the
-// registry mirror and -trace-counters totals agree by construction.
-func recordPassMetrics(reg *metrics.Registry, pass string, wallNS int64, allocBytes uint64, counters map[string]int64, err error) {
-	reg.Histogram(MetricPassWallNS, metrics.L("pass", pass)).Observe(wallNS)
-	reg.Histogram(MetricPassAllocBytes, metrics.L("pass", pass)).Observe(int64(allocBytes))
-	for _, k := range obs.SortedKeys(counters) {
-		reg.Counter(MetricPassCounters,
-			metrics.L("pass", pass),
-			metrics.L("counter", strings.TrimPrefix(k, pass+"."))).Add(counters[k])
+func (*metricsSink) RunStart(string, string, obs.IRStat) {}
+func (*metricsSink) PassStart(string, string, string)    {}
+
+func (s *metricsSink) PassEnd(ev *obs.Event) {
+	pass := metrics.L("pass", ev.Pass)
+	s.reg.Histogram(MetricPassWallNS, pass).Observe(ev.WallNS)
+	s.reg.Histogram(MetricPassAllocBytes, pass).Observe(int64(ev.AllocBytes))
+	for k, v := range ev.Counters {
+		s.reg.Counter(MetricPassCounters, pass,
+			metrics.L("counter", strings.TrimPrefix(k, ev.Pass+"."))).Add(v)
 	}
-	if err != nil {
-		reg.Counter(MetricPassErrors, metrics.L("pass", pass)).Inc()
+	if ev.Cause != nil {
+		s.reg.Counter(MetricPassErrors, pass).Inc()
 		var pa *PanicError
-		if errors.As(err, &pa) {
-			reg.Counter(MetricPanics).Inc()
+		if errors.As(ev.Cause, &pa) {
+			s.reg.Counter(MetricPanics).Inc()
 		}
 	}
+}
+
+func (s *metricsSink) RunEnd(_, config string, _ obs.IRStat, wallNS int64) {
+	s.reg.Histogram(MetricRunWallNS, metrics.L("config", config)).Observe(wallNS)
 }

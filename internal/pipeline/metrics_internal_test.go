@@ -2,7 +2,7 @@ package pipeline
 
 import (
 	"errors"
-	"strings"
+	"reflect"
 	"testing"
 
 	"outofssa/internal/faultinject"
@@ -13,10 +13,9 @@ import (
 )
 
 // TestNilMetricsAllocatesNothing pins the disabled-metrics contract
-// alongside TestNilTracerAllocatesNothing: a run with neither tracer
-// nor registry attached — including one configured through
-// WithMetrics(nil), the shape every conditional caller produces — must
-// not allocate in the runner.
+// alongside TestNilTracerAllocatesNothing: WithMetrics(nil) — the
+// shape every conditional caller produces — adds no sink, so the
+// tracer stays nil and the runner keeps its allocation-free loop.
 func TestNilMetricsAllocatesNothing(t *testing.T) {
 	f := ir.NewFunc("noalloc")
 	f.NewBlock("entry")
@@ -26,11 +25,11 @@ func TestNilMetricsAllocatesNothing(t *testing.T) {
 	}
 	var rc runConfig
 	WithMetrics(nil)(&rc)
-	if rc.metrics != nil {
-		t.Fatal("WithMetrics(nil) installed a registry")
+	if rc.tracer != nil || rc.metrics != nil {
+		t.Fatalf("WithMetrics(nil) attached tracer %v, registry %v", rc.tracer, rc.metrics)
 	}
 	n := testing.AllocsPerRun(200, func() {
-		if err := runPasses(f, "", ps, nil, runOpts{metrics: rc.metrics}); err != nil {
+		if err := runPasses(f, "", ps, rc.tracer, runOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -39,11 +38,11 @@ func TestNilMetricsAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestMetricsMirrorMatchesTraceCounters is the in-process version of
-// the ssabench -verify self-check: the registry's pass-counter mirror
-// and a tracer's counter totals are fed from the same flatten, so
-// SelfCheckPassCounters must find zero skew after real runs, and the
-// headline per-run metrics must line up with the trace.
+// TestMetricsMirrorMatchesTraceCounters checks that the registry is an
+// aggregation of the event stream a tracer sees: after real runs with
+// both attached, the pass-counter family equals the Recorder's counter
+// totals cell for cell, there is one pass wall observation per traced
+// pass event, and the run-level metrics line up with the runs.
 func TestMetricsMirrorMatchesTraceCounters(t *testing.T) {
 	reg := metrics.New()
 	rec := &obs.Recorder{}
@@ -51,100 +50,77 @@ func TestMetricsMirrorMatchesTraceCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	withMetrics := WithMetrics(reg)
 	funcs := []*ir.Func{testprog.Diamond(), testprog.SwapLoop(), testprog.NestedLoops()}
 	for _, f := range funcs {
-		if _, err := Run(f, conf, WithExperiment(ExpLphiABIC), WithTracer(rec), WithMetrics(reg)); err != nil {
+		if _, err := Run(f, conf, WithExperiment(ExpLphiABIC), WithTracer(rec), withMetrics); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	totals := map[string]int64{}
+	traced := map[string]int64{}
 	passEvents := 0
 	for _, run := range rec.Runs {
 		for _, ev := range run.Events {
 			passEvents++
 			for k, v := range ev.Counters {
-				totals[k] += v
+				traced[k] += v
 			}
 		}
 	}
 	s := reg.Snapshot()
-	if err := metrics.SelfCheckPassCounters(s, MetricPassCounters, totals); err != nil {
-		t.Fatalf("registry mirror skewed against trace totals: %v", err)
-	}
-
-	find := func(name string) *metrics.HistogramSnap {
-		for i := range s.Histograms {
-			if s.Histograms[i].Name == name {
-				return &s.Histograms[i]
-			}
-		}
-		return nil
-	}
+	registered := map[string]int64{}
 	runs := int64(0)
 	for _, c := range s.Counters {
-		if c.Name == MetricRuns {
+		switch c.Name {
+		case MetricPassCounters:
+			var pass, counter string
+			for _, l := range c.Labels {
+				switch l.Key {
+				case "pass":
+					pass = l.Value
+				case "counter":
+					counter = l.Value
+				}
+			}
+			registered[pass+"."+counter] += c.Value
+		case MetricRuns:
 			runs += c.Value
 		}
+	}
+	if len(traced) == 0 {
+		t.Fatal("runs traced no pass counters")
+	}
+	if !reflect.DeepEqual(registered, traced) {
+		t.Fatalf("%s differs from the traced totals:\nregistry %v\ntrace    %v", MetricPassCounters, registered, traced)
 	}
 	if runs != int64(len(funcs)) {
 		t.Fatalf("%s = %d, want %d", MetricRuns, runs, len(funcs))
 	}
-	wallCount := int64(0)
+
+	var wallCount, runWallCount int64
+	var maxLive *metrics.HistogramSnap
 	for i := range s.Histograms {
-		if s.Histograms[i].Name == MetricPassWallNS {
-			wallCount += s.Histograms[i].Count
+		switch h := &s.Histograms[i]; h.Name {
+		case MetricPassWallNS:
+			wallCount += h.Count
+		case MetricRunWallNS:
+			runWallCount += h.Count
+		case MetricMaxLive:
+			maxLive = h
 		}
 	}
 	if wallCount != int64(passEvents) {
 		t.Fatalf("pass wall observations %d != traced pass events %d", wallCount, passEvents)
 	}
-	ml := find(MetricMaxLive)
-	if ml == nil || ml.Count != int64(len(funcs)) || !ml.Deterministic {
-		t.Fatalf("MAXLIVE histogram wrong: %+v", ml)
+	if runWallCount != int64(len(rec.Runs)) {
+		t.Fatalf("run wall observations %d != traced runs %d", runWallCount, len(rec.Runs))
 	}
-	if ml.Min < 1 {
-		t.Fatalf("MAXLIVE min = %d, want >= 1 on non-trivial programs", ml.Min)
+	if maxLive == nil || maxLive.Count != int64(len(funcs)) || !maxLive.Deterministic {
+		t.Fatalf("MAXLIVE histogram wrong: %+v", maxLive)
 	}
-}
-
-// TestMetricsSkewCaught proves the self-check has teeth: after a clean
-// run where mirror and trace agree, one InjectMetricsSkew bump — no IR
-// change, no trace event — must make SelfCheckPassCounters fail and
-// name the skewed cell.
-func TestMetricsSkewCaught(t *testing.T) {
-	reg := metrics.New()
-	rec := &obs.Recorder{}
-	conf, err := Preset(ExpLphiABIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := testprog.SwapLoop()
-	if _, err := Run(f, conf, WithExperiment(ExpLphiABIC), WithTracer(rec), WithMetrics(reg)); err != nil {
-		t.Fatal(err)
-	}
-	totals := map[string]int64{}
-	var skewPass, skewCounter string
-	for _, run := range rec.Runs {
-		for _, ev := range run.Events {
-			for k, v := range ev.Counters {
-				totals[k] += v
-				skewPass, skewCounter = ev.Pass, strings.TrimPrefix(k, ev.Pass+".")
-			}
-		}
-	}
-	if err := metrics.SelfCheckPassCounters(reg.Snapshot(), MetricPassCounters, totals); err != nil {
-		t.Fatalf("clean run skewed: %v", err)
-	}
-	if !faultinject.InjectMetricsSkew(reg, MetricPassCounters, skewPass, skewCounter) {
-		t.Fatal("injection reported no-op on a live registry")
-	}
-	err = metrics.SelfCheckPassCounters(reg.Snapshot(), MetricPassCounters, totals)
-	if err == nil || !strings.Contains(err.Error(), skewPass+"."+skewCounter) {
-		t.Fatalf("metrics skew on %s.%s not caught: %v", skewPass, skewCounter, err)
-	}
-	if faultinject.InjectMetricsSkew(nil, MetricPassCounters, "p", "c") {
-		t.Fatal("nil registry reported as skewed")
+	if maxLive.Min < 1 {
+		t.Fatalf("MAXLIVE min = %d, want >= 1 on non-trivial programs", maxLive.Min)
 	}
 }
 
@@ -159,11 +135,12 @@ func TestMetricsErrorPanicFallbackCounters(t *testing.T) {
 		{name: "ok", run: func() error { return nil }},
 		{name: "fails", run: func() error { return boom }},
 	}
-	if err := runPasses(f, "exp", ps, nil, runOpts{metrics: reg}); !errors.Is(err, boom) {
+	sink := newMetricsSink(reg)
+	if err := runPasses(f, "exp", ps, sink, runOpts{}); !errors.Is(err, boom) {
 		t.Fatalf("got %v", err)
 	}
 	ps[1].run = func() error { panic("kaboom") }
-	if err := runPasses(f, "exp", ps, nil, runOpts{metrics: reg}); err == nil {
+	if err := runPasses(f, "exp", ps, sink, runOpts{}); err == nil {
 		t.Fatal("panic not surfaced")
 	}
 	if got := reg.Counter(MetricPassErrors, metrics.L("pass", "fails")).Value(); got != 2 {

@@ -122,21 +122,24 @@ type Result struct {
 type Option func(*runConfig)
 
 type runConfig struct {
-	tracer     obs.Tracer
-	exp        string
-	info       *ssa.Info
-	inSSA      bool
+	tracer obs.Tracer
+	exp    string
+	info   *ssa.Info
+	inSSA  bool
+	// metrics receives the run outcomes (runs, fallbacks, MAXLIVE);
+	// the per-pass metrics reach it through the sink in tracer.
 	metrics    *metrics.Registry
 	ctx        context.Context
 	execBudget int
 }
 
-// WithTracer attaches the instrumented pass runner: every executed pass
-// is reported to tr as an obs.Event carrying wall time, allocation
-// deltas and IR before/after snapshots. A nil tracer is the unmeasured
-// fast path — no snapshots, no clock reads.
+// WithTracer adds tr to the run's tracer chain and so attaches the
+// instrumented pass runner: every executed pass is reported as an
+// obs.Event carrying wall time, allocation deltas and IR before/after
+// snapshots. With no tracer (and no registry) the run takes the
+// unmeasured fast path — no snapshots, no clock reads.
 func WithTracer(tr obs.Tracer) Option {
-	return func(rc *runConfig) { rc.tracer = tr }
+	return func(rc *runConfig) { rc.tracer = obs.Multi(rc.tracer, tr) }
 }
 
 // WithExperiment labels trace events with the experiment configuration
@@ -230,7 +233,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 		// variadic label would otherwise allocate on the disabled path.
 		reg.Counter(MetricRuns, metrics.L("config", exp)).Inc()
 	}
-	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook, metrics: reg,
+	opts := runOpts{verify: conf.Verify, faultHook: conf.FaultHook,
 		ctx: rc.ctx, execBudget: rc.execBudget}
 	if err := runPasses(f, exp, conf.passes(f, info, r), tr, opts); err != nil {
 		if backup == nil {
@@ -253,7 +256,7 @@ func runSSA(f *ir.Func, info *ssa.Info, conf Config, rc *runConfig) (*Result, er
 	r.Instrs = f.NumInstrs()
 	if reg != nil {
 		// Derived metric: per-function register pressure on the final
-		// code, answered by the (cached) query liveness engine.
+		// code, from the memoized liveness.
 		h := reg.Histogram(MetricMaxLive)
 		h.SetDeterministic()
 		h.Observe(int64(liveness.MaxLive(f, analysis.Liveness(f))))
@@ -404,19 +407,20 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 	return ps
 }
 
-// runPasses executes the pass list. With a nil tracer, no metrics
-// registry and default opts it is a plain loop — no snapshots, no
-// clock reads, no allocations beyond what the passes themselves do.
-// With a tracer or a registry it brackets the run and every pass with
-// measurements: per-pass wall time, runtime.MemStats allocation
-// deltas, and (tracer only) IR snapshots before/after. The tracer
-// receives events; the registry receives wall/alloc histograms, the
-// pass-counter mirror, and error/panic counters — both fed from the
-// same measurements and the same flattened counters, so their totals
-// agree. Every pass failure — its own error, a contained panic, or a
-// checked-mode violation — surfaces as a *PassError; in checked mode
-// the entry state is verified too, reported against the pseudo-pass
-// "<input>". Verifier time is charged to the pass it checks.
+// runPasses executes the pass list. With a nil tracer and default
+// opts it is a plain loop — no snapshots, no clock reads, no
+// allocations beyond what the passes themselves do. With a tracer
+// (which includes the metrics sink WithMetrics adds) it brackets the
+// run and every pass with measurements: per-pass wall time,
+// runtime.MemStats allocation deltas, and IR snapshots. One snapshot
+// is taken per pass boundary: a pass's Before is the previous pass's
+// After (the RunStart snapshot for the first pass), and RunEnd reuses
+// the last After — only the verifier and the fault hook run between
+// passes, both inside runOne. Every pass failure — its own error, a
+// contained panic, or a checked-mode violation — surfaces as a
+// *PassError, and its event carries it; in checked mode the entry
+// state is verified too, reported against the pseudo-pass "<input>".
+// Verifier time is charged to the pass it checks.
 func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) error {
 	if opts.verify && len(ps) > 0 {
 		if err := verify.Func(f, opts.entryStage); err != nil {
@@ -424,8 +428,7 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 				Cause: err, Snapshot: obs.Snapshot(f)}
 		}
 	}
-	reg := opts.metrics
-	if tr == nil && reg == nil {
+	if tr == nil {
 		for i := range ps {
 			if err := ctxCheck(f, exp, &ps[i], opts); err != nil {
 				return err
@@ -438,62 +441,46 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 	}
 
 	runStart := time.Now()
-	if tr != nil {
-		tr.RunStart(f.Name, exp, obs.Snapshot(f))
-	}
+	state := obs.Snapshot(f)
+	tr.RunStart(f.Name, exp, state)
 	var ms0, ms1 runtime.MemStats
 	for i := range ps {
 		p := &ps[i]
-		// Cancellation is not a pass failure: it is not fed into the
-		// pass-error metrics, the caller accounts for it instead.
+		// Cancellation is not a pass failure: it emits no event, the
+		// caller accounts for it instead.
 		if err := ctxCheck(f, exp, p, opts); err != nil {
 			return err
 		}
-		var before obs.IRStat
-		if tr != nil {
-			tr.PassStart(f.Name, exp, p.name)
-			before = obs.Snapshot(f)
-		}
+		tr.PassStart(f.Name, exp, p.name)
 		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		err := runOne(f, exp, p, opts)
 		wall := time.Since(t0)
 		runtime.ReadMemStats(&ms1)
-		var counters map[string]int64
-		if err == nil && p.stats != nil {
-			counters = obs.Counters(p.name, p.stats())
+		ev := &obs.Event{
+			Func:       f.Name,
+			Config:     exp,
+			Pass:       p.name,
+			Seq:        i,
+			WallNS:     wall.Nanoseconds(),
+			AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
+			Mallocs:    ms1.Mallocs - ms0.Mallocs,
+			Before:     state,
+			Cause:      err,
 		}
-		if tr != nil {
-			ev := &obs.Event{
-				Func:       f.Name,
-				Config:     exp,
-				Pass:       p.name,
-				Seq:        i,
-				WallNS:     wall.Nanoseconds(),
-				AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-				Mallocs:    ms1.Mallocs - ms0.Mallocs,
-				Before:     before,
-				After:      obs.Snapshot(f),
-				Counters:   counters,
-			}
-			if err != nil {
-				ev.Err = err.Error()
-			}
-			tr.PassEnd(ev)
+		state = obs.Snapshot(f)
+		ev.After = state
+		if err != nil {
+			ev.Err = err.Error()
+		} else if p.stats != nil {
+			ev.Counters = obs.Counters(p.name, p.stats())
 		}
-		if reg != nil {
-			recordPassMetrics(reg, p.name, wall.Nanoseconds(), ms1.TotalAlloc-ms0.TotalAlloc, counters, err)
-		}
+		tr.PassEnd(ev)
 		if err != nil {
 			return err
 		}
 	}
-	if tr != nil {
-		tr.RunEnd(f.Name, exp, obs.Snapshot(f), time.Since(runStart).Nanoseconds())
-	}
-	if reg != nil {
-		reg.Histogram(MetricRunWallNS, metrics.L("config", exp)).Observe(time.Since(runStart).Nanoseconds())
-	}
+	tr.RunEnd(f.Name, exp, state, time.Since(runStart).Nanoseconds())
 	return nil
 }
 

@@ -3,8 +3,10 @@ package pipeline_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"outofssa/internal/faultinject"
 	"outofssa/internal/ir"
 	"outofssa/internal/obs"
 	"outofssa/internal/pipeline"
@@ -37,6 +39,74 @@ func expectedPasses(conf pipeline.Config) []string {
 	add(conf.NaiveABI, "naive-abi")
 	add(conf.Chaitin, "chaitin")
 	return want
+}
+
+// checkEventChain asserts that a recorded run's snapshots form one
+// chain: the first pass starts from the RunStart state, each pass
+// starts where the previous one ended, and a completed run ends where
+// its last pass did.
+func checkEventChain(t *testing.T, label string, run *obs.RecordedRun) {
+	t.Helper()
+	if len(run.Events) == 0 {
+		t.Fatalf("%s: run recorded no pass events", label)
+	}
+	if got := run.Events[0].Before; got != run.Before {
+		t.Fatalf("%s: first pass Before %+v != RunStart %+v", label, got, run.Before)
+	}
+	for i := 1; i < len(run.Events); i++ {
+		if prev, ev := run.Events[i-1], run.Events[i]; ev.Before != prev.After {
+			t.Fatalf("%s: %s Before %+v != %s After %+v", label, ev.Pass, ev.Before, prev.Pass, prev.After)
+		}
+	}
+	if last := run.Events[len(run.Events)-1]; run.Ended && run.After != last.After {
+		t.Fatalf("%s: RunEnd %+v != last pass After %+v", label, run.After, last.After)
+	}
+}
+
+// TestEventChain pins the one-snapshot-per-boundary contract of the
+// instrumented runner on every configuration over testprog.All(), plus
+// a forced-fallback run (a failed run with no RunEnd followed by the
+// fallback's own run). The chain's end must also agree with the
+// Result, which runSSA measures independently of the tracer.
+func TestEventChain(t *testing.T) {
+	for _, name := range expNames() {
+		for _, f := range testprog.All() {
+			rec := &obs.Recorder{}
+			res, err := pipeline.Run(f, pipeline.Configs[name], pipeline.WithExperiment(name), pipeline.WithTracer(rec))
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, f.Name, err)
+			}
+			run := rec.Runs[0]
+			checkEventChain(t, name+"/"+f.Name, run)
+			if run.After.Moves != res.Moves || run.After.Instrs != res.Instrs {
+				t.Fatalf("%s/%s: RunEnd %+v disagrees with result moves=%d instrs=%d",
+					name, f.Name, run.After, res.Moves, res.Instrs)
+			}
+		}
+	}
+
+	conf := pipeline.Configs[pipeline.ExpLphiABIC]
+	conf.Verify, conf.Fallback = true, true
+	injected := false
+	conf.FaultHook = func(pass string, g *ir.Func) {
+		if pass == "pinning-sp" && !injected {
+			injected = faultinject.Inject(g, faultinject.DoubleDef)
+		}
+	}
+	rec := &obs.Recorder{}
+	res, err := pipeline.Run(testprog.SwapLoop(), conf, pipeline.WithExperiment("fault"), pipeline.WithTracer(rec))
+	if err != nil || !injected || !res.FellBack {
+		t.Fatalf("forced fallback: err=%v injected=%v fellBack=%v", err, injected, res != nil && res.FellBack)
+	}
+	if len(rec.Runs) != 2 || rec.Runs[0].Ended || !rec.Runs[1].Ended {
+		t.Fatalf("forced fallback: want a failed run then an ended fallback run, got %d runs", len(rec.Runs))
+	}
+	for i, run := range rec.Runs {
+		checkEventChain(t, fmt.Sprintf("fallback run %d", i), run)
+	}
+	if after := rec.Runs[1].After; after.Moves != res.Moves || after.Instrs != res.Instrs {
+		t.Fatalf("fallback RunEnd %+v disagrees with result moves=%d instrs=%d", after, res.Moves, res.Instrs)
+	}
 }
 
 // TestTraceWellFormed runs every experiment configuration of Table 1

@@ -110,7 +110,11 @@ type Server struct {
 	sfMu sync.Mutex
 	sf   map[uint64]*call
 
-	reg         *metrics.Registry
+	reg *metrics.Registry
+	// passMetrics attaches reg to a compile: built once, so the
+	// pipeline's metrics sink and HELP strings are set up per server,
+	// not per request.
+	passMetrics pipeline.Option
 	queueGauge  *metrics.Gauge
 	inflight    *metrics.Gauge
 	shed        *metrics.Counter
@@ -187,6 +191,7 @@ func New(conf Config) (*Server, error) {
 		sf:      make(map[uint64]*call),
 
 		reg:         reg,
+		passMetrics: pipeline.WithMetrics(reg),
 		queueGauge:  reg.Gauge(MetricQueueDepth),
 		inflight:    reg.Gauge(MetricInflight),
 		shed:        reg.Counter(MetricShed),
@@ -598,7 +603,7 @@ func (s *Server) runTask(t *task) {
 		pipeline.WithExperiment(exp),
 		pipeline.WithContext(t.ctx),
 		pipeline.WithExecBudget(execBudget(t.deadline)),
-		pipeline.WithMetrics(s.reg))
+		s.passMetrics)
 
 	// Breaker feedback: attribute failures to the failing pass. Context
 	// cancellation is the client's fault, not a corruption class.

@@ -89,11 +89,11 @@ var Parallel = 1
 var Context context.Context
 
 // Metrics, when non-nil, attaches the registry to every table batch
-// (pipeline.WithBatchMetrics): per-pass histograms, pass-counter
-// mirrors, batch gauges and the MAXLIVE distribution all accumulate
-// there while the tables run. Nil (the default) keeps the pipeline's
-// zero-allocation fast path. ssabench -metrics-out / -metrics-addr set
-// this to metrics.Default.
+// (pipeline.WithBatchMetrics): per-pass histograms, pass counters,
+// batch gauges and the MAXLIVE distribution all accumulate there while
+// the tables run. Nil (the default) keeps the pipeline's
+// zero-allocation fast path. ssabench -metrics-out / -metrics-addr /
+// -trace-counters set this to metrics.Default.
 var Metrics *metrics.Registry
 
 // colSpec is one table column resolved to runnable form: the pass
