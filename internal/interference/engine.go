@@ -171,7 +171,9 @@ func (g *ResourceGraph) Interfere(a, b ir.ValueID) bool {
 
 func (g *ResourceGraph) killedPairwise(root ir.ValueID, members []ir.ValueID) *bitset.Set {
 	f := g.An.fn
-	killed := bitset.New(f.NumValues())
+	// Empty, not sized by f: Leung asks once per root, singletons
+	// included, and most sets stay empty.
+	killed := &bitset.Set{}
 	for _, ai := range members {
 		if f.IsPhys(ai) {
 			continue

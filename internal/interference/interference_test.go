@@ -1,6 +1,7 @@
 package interference_test
 
 import (
+	"runtime"
 	"testing"
 
 	"outofssa/internal/cfg"
@@ -369,5 +370,42 @@ func TestInterfereSymmetric(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestKilledSetSingletonAllocs pins the cost of Resource_killed on
+// singleton classes, which Leung's mark phase asks about once per root:
+// with no kill to record, a query must not allocate a set sized by the
+// function's value count. The function has 64 defined values among
+// 1<<15 values, so a sized set would be 4 KiB per query.
+func TestKilledSetSingletonAllocs(t *testing.T) {
+	bld := ir.NewBuilder("singletons")
+	bld.Block("entry")
+	f := bld.Fn
+	for i := 0; i < 1<<15; i++ {
+		f.NewValue("")
+	}
+	x := bld.Val("x")
+	bld.Input(x)
+	defs := []ir.ValueID{x}
+	for i := 0; i < 64; i++ {
+		d := bld.Val("")
+		bld.Unary(ir.Neg, d, defs[len(defs)-1])
+		defs = append(defs, d)
+	}
+	bld.Output(defs[len(defs)-1])
+
+	res, _ := pin.NewResources(f)
+	rg := interference.NewResourceGraph(analyze(f, interference.Exact), res)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, v := range defs {
+		if !rg.KilledSet(v).Empty() {
+			t.Fatalf("%s: singleton killed", f.VStr(v))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(defs)); per > uint64(f.NumValues()/64) {
+		t.Fatalf("KilledSet allocated %d bytes per singleton query over %d values", per, f.NumValues())
 	}
 }

@@ -113,9 +113,9 @@ func ConvertToCSSA(f *ir.Func, opt Options) (*Stats, map[ir.ValueID]ir.ValueID, 
 		if f.IsPhys(v) {
 			continue
 		}
-		if r := cc.findValue(f, v); r != v {
+		if r := cc.findValue(v); r != v {
 			classes[v] = r
-		} else if len(cc.members(f, v)) > 1 {
+		} else if len(cc.mem[v]) > 1 {
 			classes[v] = v
 		}
 	}
@@ -144,7 +144,7 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 	// at the merge point associated with y: live-out of y's predecessor
 	// block for arguments, live-in of the φ block for the target.
 	liveHit := func(x, y phiResource) bool {
-		for _, m := range cc.members(f, x.val) {
+		for _, m := range cc.members(x.val) {
 			if y.isTarget {
 				if live.LiveIn(m, y.blk) {
 					return true
@@ -156,11 +156,11 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 		return false
 	}
 	classesInterfere := func(x, y phiResource) bool {
-		if cc.same(f, x.val, y.val) {
+		if cc.same(x.val, y.val) {
 			return false
 		}
-		for _, mx := range cc.members(f, x.val) {
-			for _, my := range cc.members(f, y.val) {
+		for _, mx := range cc.members(x.val) {
+			for _, my := range cc.members(y.val) {
 				if an.Interfere(mx, my) {
 					return true
 				}
@@ -175,7 +175,7 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 		if opt.Unsplittable == nil {
 			return true
 		}
-		for _, m := range cc.members(f, res[i].val) {
+		for _, m := range cc.members(res[i].val) {
 			if opt.Unsplittable(m) {
 				return false
 			}
@@ -292,9 +292,13 @@ func (cc *classes) processPhi(f *ir.Func, phi *ir.Instr, live *liveness.Info, an
 }
 
 // classes is a growable union-find over value IDs (values created during
-// conversion are admitted lazily).
+// conversion are admitted lazily). Each root keeps its class's members in
+// ID order, physical values excluded, so members is a lookup and union
+// merges two sorted lists.
 type classes struct {
+	f      *ir.Func
 	parent []int
+	mem    [][]ir.ValueID // root -> members; never modified in place
 	// targetPC and edgePC accumulate this conversion's copies as one
 	// parallel copy per block boundary.
 	targetPC map[*ir.Block]*ir.Instr
@@ -302,16 +306,27 @@ type classes struct {
 }
 
 func newClasses(f *ir.Func) *classes {
-	c := &classes{parent: make([]int, f.NumValues())}
-	for i := range c.parent {
-		c.parent[i] = i
-	}
+	c := &classes{f: f}
+	c.grow(f.NumValues())
 	return c
 }
 
+// grow admits values up to n as singletons. Their one-element member
+// lists share one backing array, capped so a merge never writes into it.
 func (c *classes) grow(n int) {
-	for len(c.parent) < n {
-		c.parent = append(c.parent, len(c.parent))
+	if n <= len(c.parent) {
+		return
+	}
+	ids := make([]ir.ValueID, n-len(c.parent))
+	for i := range ids {
+		id := len(c.parent)
+		ids[i] = ir.ValueID(id)
+		c.parent = append(c.parent, id)
+		var m []ir.ValueID
+		if !c.f.IsPhys(ids[i]) {
+			m = ids[i : i+1 : i+1]
+		}
+		c.mem = append(c.mem, m)
 	}
 }
 
@@ -324,34 +339,41 @@ func (c *classes) find(id int) int {
 	return id
 }
 
+// union merges b's class into a's. a's root stays the representative:
+// it is the value the classes map of ConvertToCSSA reports.
 func (c *classes) union(a, b ir.ValueID) {
 	ra, rb := c.find(int(a)), c.find(int(b))
 	if ra != rb {
 		c.parent[rb] = ra
+		c.mem[ra] = mergeSorted(c.mem[ra], c.mem[rb])
+		c.mem[rb] = nil
 	}
 }
 
-func (c *classes) same(f *ir.Func, a, b ir.ValueID) bool {
+func (c *classes) same(a, b ir.ValueID) bool {
 	return c.find(int(a)) == c.find(int(b))
 }
 
-func (c *classes) findValue(f *ir.Func, v ir.ValueID) ir.ValueID {
+func (c *classes) findValue(v ir.ValueID) ir.ValueID {
 	return ir.ValueID(c.find(int(v)))
 }
 
-// members enumerates the congruence class of v. Linear in the number of
-// values; φ classes are small so this is acceptable for the workloads.
-func (c *classes) members(f *ir.Func, v ir.ValueID) []ir.ValueID {
-	root := c.find(int(v))
-	var out []ir.ValueID
-	for id := 0; id < f.NumValues(); id++ {
-		w := ir.ValueID(id)
-		if f.IsPhys(w) {
-			continue
-		}
-		if c.find(id) == root {
-			out = append(out, w)
+// members returns the congruence class of v in ID order, physical values
+// excluded. The slice is read-only.
+func (c *classes) members(v ir.ValueID) []ir.ValueID {
+	return c.mem[c.find(int(v))]
+}
+
+// mergeSorted merges two disjoint ID-ordered lists into a new slice.
+func mergeSorted(a, b []ir.ValueID) []ir.ValueID {
+	out := make([]ir.ValueID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
 		}
 	}
-	return out
+	out = append(out, a...)
+	return append(out, b...)
 }

@@ -1,6 +1,7 @@
 package pin_test
 
 import (
+	"slices"
 	"testing"
 
 	"outofssa/internal/ir"
@@ -53,20 +54,26 @@ func TestUnionPhysicalConflict(t *testing.T) {
 	}
 }
 
+// TestMembersSorted interleaves unions of growing classes and checks
+// that Members stays in ID order and that a slice taken before a Union
+// still holds the old class afterwards (Members shares its slice).
 func TestMembersSorted(t *testing.T) {
 	f := ir.NewFunc("m")
 	res, _ := pin.NewResources(f)
-	vs := []ir.ValueID{f.NewValue("x"), f.NewValue("y"), f.NewValue("z")}
-	res.Union(vs[2], vs[0])
-	res.Union(vs[1], vs[0])
-	m := res.Members(vs[0])
-	if len(m) != 3 {
-		t.Fatalf("members = %v", m)
+	vs := []ir.ValueID{f.NewValue("x"), f.NewValue("y"), f.NewValue("z"),
+		f.NewValue("u"), f.NewValue("w"), f.NewValue("q")}
+	res.Union(vs[5], vs[0])
+	res.Union(vs[2], vs[4])
+	left, right := res.Members(vs[0]), res.Members(vs[2])
+	res.Union(vs[3], vs[1])
+	res.Union(vs[4], vs[3])
+	res.Union(vs[0], vs[2])
+	if !slices.Equal(left, []ir.ValueID{vs[0], vs[5]}) || !slices.Equal(right, []ir.ValueID{vs[2], vs[4]}) {
+		t.Fatalf("slices taken before Union changed: %v %v", left, right)
 	}
-	for i := 1; i < len(m); i++ {
-		if m[i] <= m[i-1] {
-			t.Fatal("members not in ID order")
-		}
+	m := res.Members(vs[0])
+	if !slices.Equal(m, vs) {
+		t.Fatalf("members = %v, want %v", m, vs)
 	}
 	for _, v := range vs {
 		if !res.Same(v, vs[0]) {

@@ -24,7 +24,7 @@ type Resources struct {
 	fn      *ir.Func
 	parent  []ir.ValueID
 	rank    []int
-	members map[ir.ValueID][]ir.ValueID // root -> member values
+	members map[ir.ValueID][]ir.ValueID // root -> member values in ID order; never modified in place
 
 	// gen counts class-changing operations (successful Unions). Resource-
 	// level interference verdicts are memoized against it: a verdict
@@ -120,31 +120,39 @@ func (r *Resources) Union(a, b ir.ValueID) (ir.ValueID, error) {
 	if r.rank[ra] == r.rank[rb] {
 		r.rank[ra]++
 	}
-	ma := r.members[ra]
-	if ma == nil {
-		ma = []ir.ValueID{ra}
-	}
-	mb := r.members[rb]
-	if mb == nil {
-		mb = []ir.ValueID{rb}
-	}
-	r.members[ra] = append(ma, mb...)
+	r.members[ra] = mergeSorted(r.membersOf(ra), r.membersOf(rb))
 	delete(r.members, rb)
 	r.gen++
 	return ra, nil
 }
 
 // Members returns every value in v's resource class, in ID order.
-// Singleton classes return just the value itself.
+// Singleton classes return just the value itself. The slice is shared
+// and read-only; a later Union builds a new slice for the merged class,
+// so a slice returned earlier never changes.
 func (r *Resources) Members(v ir.ValueID) []ir.ValueID {
-	root := r.Find(v)
-	m := r.members[root]
-	if m == nil {
-		return []ir.ValueID{root}
+	return r.membersOf(r.Find(v))
+}
+
+func (r *Resources) membersOf(root ir.ValueID) []ir.ValueID {
+	if m := r.members[root]; m != nil {
+		return m
 	}
-	out := append([]ir.ValueID(nil), m...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return []ir.ValueID{root}
+}
+
+// mergeSorted merges two disjoint ID-ordered lists into a new slice.
+func mergeSorted(a, b []ir.ValueID) []ir.ValueID {
+	out := make([]ir.ValueID, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // IsPhysResource reports whether v's resource contains a dedicated

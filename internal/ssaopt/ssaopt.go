@@ -9,7 +9,8 @@
 package ssaopt
 
 import (
-	"fmt"
+	"encoding/binary"
+	"strings"
 
 	"outofssa/internal/ir"
 	"outofssa/internal/ssa"
@@ -229,8 +230,14 @@ func FoldSelects(f *ir.Func) int {
 // dissolves). Returns the number of replacements.
 func LocalCSE(f *ir.Func, info *ssa.Info) int {
 	n := 0
+	// avail's keys are substrings of keys, a buffer that only grows, so
+	// storing a key allocates only when that buffer doubles, and a lookup
+	// converts key without copying it.
+	avail := make(map[string]ir.ValueID)
+	var keys strings.Builder
+	var key []byte
 	for _, b := range f.Blocks() {
-		avail := make(map[string]ir.ValueID)
+		clear(avail)
 		for _, in := range b.Instrs() {
 			if !pureOp(in.Op()) || in.NumDefs() != 1 {
 				continue
@@ -247,15 +254,17 @@ func LocalCSE(f *ir.Func, info *ssa.Info) int {
 			if pinned {
 				continue
 			}
-			key := exprKey(in)
-			if prev, ok := avail[key]; ok {
+			key = exprKey(key[:0], in)
+			if prev, ok := avail[string(key)]; ok {
 				in.SetOp(ir.Copy)
 				in.SetOperands([]ir.Operand{in.DefOp(0)}, []ir.Operand{{Val: prev}})
 				in.Imm = 0
 				n++
 				continue
 			}
-			avail[key] = in.Def(0)
+			start := keys.Len()
+			keys.Write(key)
+			avail[keys.String()[start:]] = in.Def(0)
 		}
 	}
 	return n
@@ -272,12 +281,16 @@ func pureOp(op ir.Op) bool {
 	return false
 }
 
-func exprKey(in *ir.Instr) string {
-	key := fmt.Sprintf("%d:%d", in.Op(), in.Imm)
+// exprKey appends the value-numbering key of in to buf: the op, the
+// immediate and each used value in fixed-width little-endian fields, so
+// two keys are equal exactly when all three agree.
+func exprKey(buf []byte, in *ir.Instr) []byte {
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(in.Op()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(in.Imm))
 	for _, u := range in.Uses() {
-		key += fmt.Sprintf(":%d", int32(u.Val))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(u.Val))
 	}
-	return key
+	return buf
 }
 
 // EliminateDeadCode removes pure instructions whose results are unused
@@ -285,8 +298,9 @@ func exprKey(in *ir.Instr) string {
 // instructions.
 func EliminateDeadCode(f *ir.Func) int {
 	removed := 0
+	used := make([]bool, f.NumValues())
 	for {
-		used := make(map[ir.ValueID]bool)
+		clear(used)
 		for _, b := range f.Blocks() {
 			for _, in := range b.Instrs() {
 				for _, u := range in.Uses() {
