@@ -85,8 +85,8 @@ func benchTable(b *testing.B, exps []string, weighted bool) {
 // BenchmarkAllTables regenerates Tables 2-5 through the parallel batch
 // driver (stats.Parallel -> pipeline.RunBatch) at increasing worker
 // counts. The output is identical at every setting — the series
-// measures pure wall-clock scaling of the driver; BENCH_parallel.json
-// records a committed run of it.
+// measures pure wall-clock scaling of the driver. Committed throughput
+// numbers come from perfbench (bash perfbench/run.sh, BENCHMARK.json).
 func BenchmarkAllTables(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", workers), func(b *testing.B) {
@@ -363,100 +363,88 @@ func BenchmarkRegisterPressure(b *testing.B) {
 	}
 }
 
-// benchEngines is the subbenchmark axis of the resource-engine
-// comparison: the O(k²) pairwise oracle versus the dominance-ordered
-// sweep (both produce identical verdicts; engines_test.go proves it).
-var benchEngines = []interference.Engine{interference.EnginePairwise, interference.EngineDominance}
-
-// BenchmarkInterferenceQueries isolates the resource-level query engines
-// on the raw Resource_killed / Resource_interfere workload: for every
+// BenchmarkInterferenceQueries isolates the resource-level queries on
+// the raw Resource_killed / Resource_interfere workload: for every
 // function of the suite, a fresh ResourceGraph (empty memos) answers
 // KilledSet for every resource root plus Interfere over a root-pair
 // sample. This is the hot path Program_pinning and the Leung mark phase
-// sit on; BENCH_interference.json records a committed run.
+// sit on, and the benchmark the sweep cutoff was tuned with; end-to-end
+// throughput is measured by perfbench (bash perfbench/run.sh).
 func BenchmarkInterferenceQueries(b *testing.B) {
-	for _, engine := range benchEngines {
-		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
-				b.StopTimer()
-				funcs := ssaSuite(b, name, true)
-				type prep struct {
-					an    *interference.Analysis
-					res   *pin.Resources
-					roots []ir.ValueID
+	for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
+		b.Run(name, func(b *testing.B) {
+			b.StopTimer()
+			funcs := ssaSuite(b, name, true)
+			type prep struct {
+				an    *interference.Analysis
+				res   *pin.Resources
+				roots []ir.ValueID
+			}
+			var ps []prep
+			for _, f := range funcs {
+				cfg.SplitCriticalEdges(f)
+				res, err := pin.NewResources(f)
+				if err != nil {
+					b.Fatal(err)
 				}
-				var ps []prep
-				for _, f := range funcs {
-					cfg.SplitCriticalEdges(f)
-					res, err := pin.NewResources(f)
-					if err != nil {
-						b.Fatal(err)
+				an := interference.New(f, liveness.Compute(f), cfg.Dominators(f), interference.Exact)
+				seen := make(map[ir.ValueID]bool)
+				var roots []ir.ValueID
+				for id := 0; id < f.NumValues(); id++ {
+					if r := res.Find(ir.ValueID(id)); !seen[r] {
+						seen[r] = true
+						roots = append(roots, r)
 					}
-					an := interference.New(f, liveness.Compute(f), cfg.Dominators(f), interference.Exact)
-					seen := make(map[ir.ValueID]bool)
-					var roots []ir.ValueID
-					for id := 0; id < f.NumValues(); id++ {
-						if r := res.Find(ir.ValueID(id)); !seen[r] {
-							seen[r] = true
-							roots = append(roots, r)
-						}
-					}
-					ps = append(ps, prep{an, res, roots})
 				}
-				b.StartTimer()
-				verdicts := 0
-				for i := 0; i < b.N; i++ {
-					for _, p := range ps {
-						g := interference.NewResourceGraph(p.an, p.res)
-						g.Engine = engine
-						for _, r := range p.roots {
-							verdicts += g.KilledSet(r).Len()
-						}
-						step := len(p.roots)/48 + 1
-						for x := 0; x < len(p.roots); x += step {
-							for y := x + 1; y < len(p.roots); y += step {
-								if g.Interfere(p.roots[x], p.roots[y]) {
-									verdicts++
-								}
+				ps = append(ps, prep{an, res, roots})
+			}
+			b.StartTimer()
+			verdicts := 0
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					g := interference.NewResourceGraph(p.an, p.res)
+					for _, r := range p.roots {
+						verdicts += g.KilledSet(r).Len()
+					}
+					step := len(p.roots)/48 + 1
+					for x := 0; x < len(p.roots); x += step {
+						for y := x + 1; y < len(p.roots); y += step {
+							if g.Interfere(p.roots[x], p.roots[y]) {
+								verdicts++
 							}
 						}
 					}
 				}
-				if verdicts < 0 {
-					b.Fatal("impossible")
-				}
-			})
-		}
+			}
+			if verdicts < 0 {
+				b.Fatal("impossible")
+			}
+		})
 	}
 }
 
-// BenchmarkInterferencePinning measures the end-to-end effect of the
-// engine on the two passes that consume it: Program_pinning (φ-affinity
+// BenchmarkInterferencePinning measures the interference queries inside
+// the two passes that consume them: Program_pinning (φ-affinity
 // coalescing, Algorithm 3) followed by the Leung out-of-pinned-SSA
 // translation.
 func BenchmarkInterferencePinning(b *testing.B) {
-	for _, engine := range benchEngines {
-		for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
-			b.Run(fmt.Sprintf("%s/%s", engine, name), func(b *testing.B) {
-				prev := interference.DefaultEngine
-				interference.DefaultEngine = engine
-				defer func() { interference.DefaultEngine = prev }()
-				b.StopTimer()
-				for i := 0; i < b.N; i++ {
-					funcs := ssaSuite(b, name, true)
-					b.StartTimer()
-					for _, f := range funcs {
-						if _, err := coalesce.ProgramPinning(f, coalesce.Options{}); err != nil {
-							b.Fatal(err)
-						}
-						if _, err := leung.Translate(f); err != nil {
-							b.Fatal(err)
-						}
+	for _, name := range []string{"VALcc1", "LAI_Large", "SPECint"} {
+		b.Run(name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				funcs := ssaSuite(b, name, true)
+				b.StartTimer()
+				for _, f := range funcs {
+					if _, err := coalesce.ProgramPinning(f, coalesce.Options{}); err != nil {
+						b.Fatal(err)
 					}
-					b.StopTimer()
+					if _, err := leung.Translate(f); err != nil {
+						b.Fatal(err)
+					}
 				}
-			})
-		}
+				b.StopTimer()
+			}
+		})
 	}
 }
 

@@ -11,8 +11,8 @@
 // With no file, laoc reads LAI from standard input. With -run, laoc
 // interprets the function before and after the pipeline and exits
 // non-zero if the results differ, so CI can gate on semantic
-// preservation. -trace prints a per-pass wall-time/allocation/IR-delta
-// table for every function; -trace-json streams the same events as
+// preservation. -trace prints a per-pass wall-time/IR-delta table for
+// every function; -trace-json streams the same events as
 // JSONL for machine diffing (see DESIGN.md for the schema).
 package main
 

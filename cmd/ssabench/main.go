@@ -27,13 +27,6 @@
 //	ssabench -metrics-addr localhost:0   # serve /metrics (Prometheus text)
 //	                                     # and /debug/pprof while running
 //
-// and as the harness for the resource-interference engines:
-//
-//	ssabench -interference-engine=pairwise   # force the O(k²) oracle engine
-//	ssabench -bench-interference             # time both engines on a table
-//	                                         # workload and check the outputs
-//	                                         # are byte-identical
-//
 // The JSONL event schema is documented in DESIGN.md; `go tool pprof`
 // reads the profiles. Throughput and per-layer timings of the batch
 // pipeline and of laocd come from perfbench (bash perfbench/run.sh),
@@ -51,9 +44,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"syscall"
-	"time"
 
-	"outofssa/internal/interference"
 	"outofssa/internal/obs"
 	"outofssa/internal/obs/metrics"
 	"outofssa/internal/pipeline"
@@ -69,8 +60,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "worker pool size for pipeline runs; 0 means GOMAXPROCS (output is identical at any setting)")
 	traceJSON := flag.String("trace-json", "", "write per-pass trace events as JSONL to `file`")
 	traceCounters := flag.Bool("trace-counters", false, "print per-pass counters (interference query volume, memo hits, merges) summed over every run, and the analysis cache counters, to stderr at exit")
-	engineName := flag.String("interference-engine", "", "resource-interference engine: dominance (default) or pairwise (the O(k²) oracle)")
-	benchInterference := flag.Bool("bench-interference", false, "time the selected table workload (default: table 2) under both interference engines, check byte-identical output, and report the speedup")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memprofile := flag.String("memprofile", "", "write a heap profile to `file` at exit")
 	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (counters, histograms, host stamp) to `file` at exit; cmd/perfgate compares these")
@@ -91,16 +80,6 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	stats.Context = ctx
-
-	switch *engineName {
-	case "":
-	case "dominance":
-		interference.DefaultEngine = interference.EngineDominance
-	case "pairwise":
-		interference.DefaultEngine = interference.EnginePairwise
-	default:
-		fail(fmt.Errorf("unknown -interference-engine %q (have: dominance, pairwise)", *engineName))
-	}
 
 	if *list {
 		for _, s := range workload.All() {
@@ -183,13 +162,6 @@ func main() {
 		}
 	}
 
-	if *benchInterference {
-		if err := runBenchInterference(*table); err != nil {
-			fail(err)
-		}
-		return
-	}
-
 	run := func(fn func(obs.Tracer) (*stats.Table, error)) {
 		t, err := fn(tracer)
 		if err != nil {
@@ -259,98 +231,4 @@ func dumpCounters(w io.Writer, s *metrics.Snapshot) {
 	for _, k := range obs.SortedKeys(sums) {
 		fmt.Fprintf(w, "counter %-55s %12d\n", k, sums[k])
 	}
-}
-
-// sumSuffix totals the counters whose key ends in suffix — e.g. every
-// pass's ".Interference.KillQueries".
-func sumSuffix(sums map[string]int64, suffix string) int64 {
-	var t int64
-	for k, v := range sums {
-		if strings.HasSuffix(k, suffix) {
-			t += v
-		}
-	}
-	return t
-}
-
-// tableRunners maps table numbers to their traced regenerators (Table 1
-// is a static workload census — no pipeline runs, nothing to time).
-var tableRunners = map[int]func(obs.Tracer) (*stats.Table, error){
-	2: stats.Table2Traced,
-	3: stats.Table3Traced,
-	4: stats.Table4Traced,
-	5: stats.Table5Traced,
-}
-
-// runBenchInterference times the selected table workload under the
-// pairwise oracle engine and the dominance sweep engine, requires their
-// table outputs to be byte-identical (exit 1 otherwise — this is the
-// correctness gate the CI bench-smoke job relies on), and reports the
-// wall-clock ratio plus the interference counter totals per engine,
-// read from a fresh registry per repetition.
-func runBenchInterference(table int) error {
-	if table == 0 {
-		table = 2
-	}
-	run, ok := tableRunners[table]
-	if !ok {
-		return fmt.Errorf("-bench-interference needs a pipeline table (2-5), got %d", table)
-	}
-	fmt.Printf("host: %s\n", obs.HostInfo())
-	const reps = 3
-	type result struct {
-		best     time.Duration
-		all      []time.Duration
-		output   string
-		counters map[string]int64
-	}
-	prev, prevMetrics := interference.DefaultEngine, stats.Metrics
-	defer func() { interference.DefaultEngine, stats.Metrics = prev, prevMetrics }()
-
-	engines := []interference.Engine{interference.EnginePairwise, interference.EngineDominance}
-	results := make(map[interference.Engine]*result, len(engines))
-	for _, e := range engines {
-		interference.DefaultEngine = e
-		r := &result{}
-		for i := 0; i < reps; i++ {
-			reg := metrics.New()
-			stats.Metrics = reg
-			start := time.Now()
-			t, err := run(nil)
-			d := time.Since(start)
-			if err != nil {
-				return fmt.Errorf("engine %s: %v", e, err)
-			}
-			r.all = append(r.all, d)
-			if r.best == 0 || d < r.best {
-				r.best = d
-			}
-			if i == 0 {
-				r.output, r.counters = t.String(), passCounters(reg.Snapshot())
-			} else if t.String() != r.output {
-				return fmt.Errorf("engine %s: table %d output differs between repetitions", e, table)
-			}
-		}
-		results[e] = r
-		fmt.Printf("engine %-9s table %d: best %v of", e, table, r.best.Round(time.Millisecond))
-		for _, d := range r.all {
-			fmt.Printf(" %v", d.Round(time.Millisecond))
-		}
-		fmt.Println()
-		for _, suffix := range []string{
-			"Interference.KillQueries", "Interference.ResourceKilled",
-			"Interference.ResourceInterfere", "Interference.KilledMemoHits",
-			"Interference.InterfereMemoHits",
-		} {
-			fmt.Printf("  %-32s %12d\n", suffix, sumSuffix(r.counters, suffix))
-		}
-	}
-
-	rp, rd := results[interference.EnginePairwise], results[interference.EngineDominance]
-	if rp.output != rd.output {
-		return fmt.Errorf("table %d output DIVERGES between engines — correctness bug", table)
-	}
-	fmt.Printf("outputs: byte-identical\nspeedup (pairwise/dominance, best-of-%d wall): %.2fx\n",
-		reps, float64(rp.best)/float64(rd.best))
-	return nil
 }

@@ -33,6 +33,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -292,21 +293,110 @@ func (s *Store) recover() ([]int, error) {
 // Checksums are not verified here — a flipped payload bit inside a
 // complete record is Scan's business.
 func validPrefix(path string) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("cachestore: %w", err)
+	end := int64(0)
+	err := walkFrames(path, func(off int64, frame []byte) bool {
+		if frame != nil {
+			end = off + int64(len(frame))
+		}
+		return true
+	})
+	return end, err
+}
+
+// segWindow is the read-ahead of walkFrames: 64 KiB holds a few dozen
+// typical records, and a frame larger than it widens the window to fit.
+const segWindow = 64 << 10
+
+// segReader reads a segment file through one sliding window, so a walk
+// holds a window (or the largest frame) in memory, not the file.
+type segReader struct {
+	f    *os.File
+	size int64
+	buf  []byte
+	off  int64 // file offset of buf[0]
+}
+
+// at returns the n bytes at file offset off; off+n must not pass size.
+// The slice is valid until the next call.
+func (r *segReader) at(off, n int64) ([]byte, error) {
+	if off >= r.off && off+n <= r.off+int64(len(r.buf)) {
+		return r.buf[off-r.off : off-r.off+n], nil
 	}
-	off, end := int64(0), int64(0)
-	for off < int64(len(data)) {
-		n := frameLen(data[off:])
-		if n <= 0 {
-			off = resync(data, off+1)
+	m := min(max(n, segWindow), r.size-off)
+	if int64(cap(r.buf)) < m {
+		r.buf = make([]byte, m)
+	}
+	r.buf = r.buf[:m]
+	if _, err := r.f.ReadAt(r.buf, off); err != nil {
+		return nil, fmt.Errorf("cachestore: %w", err)
+	}
+	r.off = off
+	return r.buf[:n], nil
+}
+
+// frameAt returns the well-framed record frame starting at off, or nil
+// when none starts there (see frameLen).
+func (r *segReader) frameAt(off int64) ([]byte, error) {
+	if r.size-off < recMinFrame {
+		return nil, nil
+	}
+	hdr, err := r.at(off, 8)
+	if err != nil || binary.LittleEndian.Uint32(hdr) != recMagic {
+		return nil, err
+	}
+	total := 4 + 4 + int64(binary.LittleEndian.Uint32(hdr[4:])) + 8
+	if total > r.size-off {
+		return nil, nil
+	}
+	frame, err := r.at(off, total)
+	if err != nil || frameLen(frame) != total {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// walkFrames calls fn(off, frame) for every well-framed record of the
+// segment at path, in file order, and fn(off, nil) for each stretch of
+// broken framing starting at off, which it resyncs past by searching
+// for the next offset where a well-framed record starts. frame is only
+// valid during the call. fn returning false ends the walk. Checksums
+// are the caller's business.
+func walkFrames(path string, fn func(off int64, frame []byte) bool) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("cachestore: %w", err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("cachestore: %w", err)
+	}
+	r := &segReader{f: f, size: fi.Size()}
+	for off := int64(0); off < r.size; {
+		frame, err := r.frameAt(off)
+		if err != nil {
+			return err
+		}
+		if frame != nil {
+			if !fn(off, frame) {
+				return nil
+			}
+			off += int64(len(frame))
 			continue
 		}
-		off += n
-		end = off
+		if !fn(off, nil) {
+			return nil
+		}
+		for off++; off < r.size; off++ {
+			if frame, err = r.frameAt(off); err != nil {
+				return err
+			}
+			if frame != nil {
+				break
+			}
+		}
 	}
-	return end, nil
+	return nil
 }
 
 // frameLen returns the total length of the record frame at the start
@@ -362,25 +452,38 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 	return binary.LittleEndian.AppendUint64(dst, h.Sum64())
 }
 
-// decodeRecord parses the frame at the start of data (already framed
-// by frameLen, which returned total) and verifies its checksum.
-func decodeRecord(data []byte, total int64) (*Record, bool) {
-	body := data[8 : total-8]
+// frameKey verifies the checksum and kind of a frame (as returned by
+// walkFrames; nil is no frame) and returns its kind and key.
+func frameKey(frame []byte) (Kind, uint64, bool) {
+	if frame == nil {
+		return 0, 0, false
+	}
+	body := frame[8 : len(frame)-8]
 	h := fnv.New64a()
 	h.Write(body)
-	if h.Sum64() != binary.LittleEndian.Uint64(data[total-8:total]) {
-		return nil, false
+	if h.Sum64() != binary.LittleEndian.Uint64(frame[len(frame)-8:]) {
+		return 0, 0, false
 	}
 	kind := Kind(body[0])
 	if kind != KindResult && kind != KindDecode {
+		return 0, 0, false
+	}
+	return kind, binary.LittleEndian.Uint64(body[12:]), true
+}
+
+// decodeRecord verifies a frame with frameKey and parses it.
+func decodeRecord(frame []byte) (*Record, bool) {
+	kind, key, ok := frameKey(frame)
+	if !ok {
 		return nil, false
 	}
+	body := frame[8 : len(frame)-8]
 	flags := body[1]
 	nameLen := int64(binary.LittleEndian.Uint32(body[20:]))
 	payloadLen := int64(binary.LittleEndian.Uint32(body[24+nameLen:]))
 	return &Record{
 		Kind:     kind,
-		Key:      binary.LittleEndian.Uint64(body[12:]),
+		Key:      key,
 		Payload:  append([]byte(nil), body[28+nameLen:28+nameLen+payloadLen]...),
 		Name:     string(body[24 : 24+nameLen]),
 		Moves:    int(binary.LittleEndian.Uint32(body[4:])),
@@ -396,58 +499,27 @@ func decodeRecord(data []byte, total int64) (*Record, bool) {
 // searching for the next frame magic. Scan is the warm-start read —
 // call it after Open and before the first Put.
 func (s *Store) Scan(fn func(*Record) bool) error {
-	return s.scan(fn, true)
-}
-
-func (s *Store) scan(fn func(*Record) bool, count bool) error {
 	segs, err := s.segments()
 	if err != nil {
 		return err
 	}
 	for _, n := range segs {
-		data, err := os.ReadFile(s.segPath(n))
-		if err != nil {
-			return fmt.Errorf("cachestore: %w", err)
-		}
-		off := int64(0)
-		for off < int64(len(data)) {
-			total := frameLen(data[off:])
-			if total <= 0 {
-				// Broken framing: resync by scanning for the next magic.
-				if count {
-					s.corruptDropped.Add(1)
-				}
-				off = resync(data, off+1)
-				continue
-			}
-			rec, ok := decodeRecord(data[off:], total)
-			off += total
+		stop := false
+		err := walkFrames(s.segPath(n), func(_ int64, frame []byte) bool {
+			rec, ok := decodeRecord(frame)
 			if !ok {
-				if count {
-					s.corruptDropped.Add(1)
-				}
-				continue
+				s.corruptDropped.Add(1)
+				return true
 			}
-			if count {
-				s.scanRecords.Add(1)
-			}
-			if !fn(rec) {
-				return nil
-			}
+			s.scanRecords.Add(1)
+			stop = !fn(rec)
+			return !stop
+		})
+		if err != nil || stop {
+			return err
 		}
 	}
 	return nil
-}
-
-// resync returns the offset of the next plausible frame start at or
-// after from, or the end of data.
-func resync(data []byte, from int64) int64 {
-	for off := from; off+4 <= int64(len(data)); off++ {
-		if binary.LittleEndian.Uint32(data[off:]) == recMagic && frameLen(data[off:]) > 0 {
-			return off
-		}
-	}
-	return int64(len(data))
 }
 
 // Put hands rec to the write-behind goroutine. It never blocks on the
@@ -596,7 +668,7 @@ func (s *Store) append(rec *Record) {
 
 // compactLocked rewrites the live records into a fresh segment and
 // deletes the old ones; the caller (append) holds s.mu, and the lock
-// is released around the read-back since only the writer goroutine
+// is released around the rewrite since only the writer goroutine
 // touches the files. Crash-safety: the new segment is written under a
 // .tmp name and renamed into place only after a successful sync, so a
 // kill mid-compaction leaves the old segments intact plus a .tmp the
@@ -608,59 +680,26 @@ func (s *Store) compactLocked() {
 	s.active.Close()
 	s.active = nil
 
-	type slot struct{ rec *Record }
-	latest := make(map[[2]uint64]*slot)
-	var order []*slot
-	s.mu.Unlock()
-	s.scan(func(rec *Record) bool {
-		k := [2]uint64{uint64(rec.Kind), rec.Key}
-		if sl, ok := latest[k]; ok {
-			sl.rec = rec // later record wins; content-equal by contract
-			s.compactDropped.Add(1)
-			return true
-		}
-		sl := &slot{rec: rec}
-		latest[k] = sl
-		order = append(order, sl)
-		return true
-	}, false)
-	s.mu.Lock()
-
 	newN := s.activeN + 1
-	abort := func(f *os.File, tmp string) {
-		if f != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-		s.reopenActive(s.activeN + 2)
-	}
 	tmp := s.segPath(newN) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
 	if err != nil {
-		abort(nil, tmp)
+		s.reopenActive(s.activeN + 2)
 		return
 	}
-	var buf []byte
-	kept := int64(0)
-	for _, sl := range order {
-		if s.opts.Live != nil && !s.opts.Live(sl.rec.Kind, sl.rec.Key) {
-			s.compactDropped.Add(1)
-			continue
-		}
-		buf = encodeRecord(buf[:0], sl.rec)
-		if _, err := f.Write(buf); err != nil {
-			abort(f, tmp)
-			return
-		}
-		kept += int64(len(buf))
-	}
-	if f.Sync() != nil {
-		abort(f, tmp)
-		return
+	s.mu.Unlock()
+	old, kept, err := s.copyLive(f)
+	if err == nil {
+		err = f.Sync()
 	}
 	f.Close()
+	s.mu.Lock()
+	if err != nil {
+		os.Remove(tmp)
+		s.reopenActive(s.activeN + 2)
+		return
+	}
 	s.fsyncs.Add(1)
-	old, _ := s.segments()
 	if err := os.Rename(tmp, s.segPath(newN)); err != nil {
 		os.Remove(tmp)
 		s.reopenActive(s.activeN + 2)
@@ -671,6 +710,62 @@ func (s *Store) compactLocked() {
 	}
 	s.size = kept
 	s.reopenActive(newN + 1)
+}
+
+// copyLive copies to w the last valid frame of every key that
+// opts.Live keeps, counting the superseded and dead records it drops,
+// and returns the segments it read and the bytes it wrote. It streams
+// the log twice, once to find each key's last frame and once to copy
+// those frames unchanged, so it holds a read window and one position
+// per key in memory, never the log or its payloads.
+func (s *Store) copyLive(w io.Writer) (segs []int, kept int64, err error) {
+	segs, err = s.segments()
+	if err != nil {
+		return nil, 0, err
+	}
+	type pos struct {
+		seg int
+		off int64
+	}
+	last := make(map[[2]uint64]pos)
+	for i, n := range segs {
+		err := walkFrames(s.segPath(n), func(off int64, frame []byte) bool {
+			if kind, key, ok := frameKey(frame); ok {
+				k := [2]uint64{uint64(kind), key}
+				if _, dup := last[k]; dup {
+					s.compactDropped.Add(1)
+				}
+				last[k] = pos{i, off}
+			}
+			return true
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	for i, n := range segs {
+		var werr error
+		err := walkFrames(s.segPath(n), func(off int64, frame []byte) bool {
+			kind, key, ok := frameKey(frame)
+			if !ok || last[[2]uint64{uint64(kind), key}] != (pos{i, off}) {
+				return true
+			}
+			if s.opts.Live != nil && !s.opts.Live(kind, key) {
+				s.compactDropped.Add(1)
+				return true
+			}
+			_, werr = w.Write(frame)
+			kept += int64(len(frame))
+			return werr == nil
+		})
+		if err == nil {
+			err = werr
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return segs, kept, nil
 }
 
 // reopenActive opens a fresh active segment numbered n; on failure the

@@ -2,9 +2,13 @@ package cachestore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -357,5 +361,155 @@ func TestPutAfterClose(t *testing.T) {
 	s.Flush() // must not deadlock
 	if st := s.Stats(); st.Dropped == 0 {
 		t.Fatal("post-close Put not counted as dropped")
+	}
+}
+
+// refWalk is the whole-file frame walk walkFrames replaced, kept as its
+// oracle: each event is (offset, frame length), with length -1 for a
+// stretch of broken framing resynced past.
+func refWalk(data []byte) [][2]int64 {
+	var events [][2]int64
+	for off := int64(0); off < int64(len(data)); {
+		if n := frameLen(data[off:]); n > 0 {
+			events = append(events, [2]int64{off, n})
+			off += n
+			continue
+		}
+		events = append(events, [2]int64{off, -1})
+		for off++; off+4 <= int64(len(data)); off++ {
+			if binary.LittleEndian.Uint32(data[off:]) == recMagic && frameLen(data[off:]) > 0 {
+				break
+			}
+		}
+		if off+4 > int64(len(data)) {
+			off = int64(len(data))
+		}
+	}
+	return events
+}
+
+// TestWalkFramesMatchesReadFile checks the windowed walk against the
+// whole-file oracle on segments damaged at random: a stray leading byte
+// (the next frame starts one past the break), flipped bytes,
+// overwritten stretches, stray magics, a torn tail, and frames larger
+// than the read window, so damage and frames straddle window edges.
+func TestWalkFramesMatchesReadFile(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var data []byte
+		for i := 0; i < 60; i++ {
+			n := r.Intn(3000)
+			if r.Intn(15) == 0 {
+				n = segWindow + r.Intn(2*segWindow)
+			}
+			p := make([]byte, n)
+			r.Read(p)
+			data = encodeRecord(data, &Record{Kind: KindResult, Key: uint64(i), Payload: p, Name: "f"})
+		}
+		if seed%4 == 0 {
+			data = append([]byte{0}, data...)
+		}
+		for i := r.Intn(6); i > 0; i-- {
+			off := r.Intn(len(data))
+			switch r.Intn(3) {
+			case 0:
+				data[off] ^= byte(1 + r.Intn(255))
+			case 1:
+				r.Read(data[off:min(len(data), off+r.Intn(2*segWindow))])
+			case 2:
+				if off+8 <= len(data) {
+					binary.LittleEndian.PutUint32(data[off:], recMagic)
+					binary.LittleEndian.PutUint32(data[off+4:], uint32(r.Intn(len(data))))
+				}
+			}
+		}
+		if r.Intn(2) == 0 {
+			data = data[:len(data)-r.Intn(4000)]
+		}
+		path := filepath.Join(t.TempDir(), "seg")
+		if err := os.WriteFile(path, data, 0o666); err != nil {
+			t.Fatal(err)
+		}
+		var got [][2]int64
+		err := walkFrames(path, func(off int64, frame []byte) bool {
+			if frame == nil {
+				got = append(got, [2]int64{off, -1})
+				return true
+			}
+			if !bytes.Equal(frame, data[off:off+int64(len(frame))]) {
+				t.Fatalf("seed %d: frame at %d differs from the file bytes", seed, off)
+			}
+			got = append(got, [2]int64{off, int64(len(frame))})
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refWalk(data); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: walk diverges from the whole-file oracle:\n got  %v\n want %v", seed, got, want)
+		}
+	}
+}
+
+// TestCompactionKeepsLastRecord pins last-record-wins through
+// compaction: a key written twice with different bytes (a degraded
+// result replaced after eviction) keeps its newer record.
+func TestCompactionKeepsLastRecord(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, dir, Options{MaxBytes: 1024})
+	s.Put(&Record{Kind: KindResult, Key: 1, Payload: []byte("degraded"), Name: "f1", Degraded: true})
+	s.Put(rec(KindResult, 2, "other"))
+	s.Put(rec(KindResult, 1, "full"))
+	s.Put(rec(KindResult, 3, string(bytes.Repeat([]byte("x"), 1024))))
+	s.Flush()
+	if st := s.Stats(); st.Compactions == 0 {
+		t.Fatalf("no compaction ran: %+v", st)
+	}
+	s.Close()
+	ones := 0
+	for _, g := range collect(t, openT(t, dir, Options{})) {
+		if g.Key == 1 {
+			ones++
+			if string(g.Payload) != "full" || g.Degraded {
+				t.Fatalf("compaction kept the superseded record: %+v", g)
+			}
+		}
+	}
+	if ones != 1 {
+		t.Fatalf("key 1 kept %d times, want 1", ones)
+	}
+}
+
+// TestCompactionAllocs pins compaction's memory to a read window and a
+// position per key: compacting a 4 MiB log of 2 KiB records may not
+// allocate anything near the log's size. (Reading the log back whole
+// and decoding every payload allocated more than twice the log.)
+func TestCompactionAllocs(t *testing.T) {
+	const logBytes = 4 << 20
+	s := openT(t, t.TempDir(), Options{MaxBytes: logBytes})
+	payload := string(bytes.Repeat([]byte("p"), 2048))
+	written := 0
+	for key := uint64(0); written < logBytes-4096; key++ {
+		r := rec(KindResult, key, payload)
+		s.Put(r)
+		written += len(encodeRecord(nil, r))
+		if key%256 == 0 {
+			s.Flush()
+		}
+	}
+	s.Flush()
+	if st := s.Stats(); st.Compactions != 0 {
+		t.Fatalf("compacted before the measurement: %+v", st)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.Put(rec(KindResult, 1<<40, payload+payload+payload))
+	s.Flush()
+	runtime.ReadMemStats(&after)
+	if st := s.Stats(); st.Compactions != 1 {
+		t.Fatalf("want exactly one compaction, got %+v", st)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > logBytes/4 {
+		t.Fatalf("compacting a %d-byte log allocated %d bytes", logBytes, alloc)
 	}
 }

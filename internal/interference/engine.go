@@ -8,47 +8,22 @@ import (
 	"outofssa/internal/pin"
 )
 
-// Engine selects the Resource_killed / Resource_interfere implementation.
-type Engine int
-
-const (
-	// EngineDominance (the default) answers resource-level queries with a
-	// dominance-ordered stack sweep over the class's definition points
-	// (Budimlić-style dominance forest): O(k log k) for the sort plus a
-	// walk of the current dominance chain, instead of the O(k²) pairwise
-	// Kills expansion. Classes at or below sweepCutoff virtual members
-	// dispatch to the pairwise expansion, which is faster at tiny k.
-	// Results are bit-for-bit identical to EnginePairwise either way;
-	// engines_test.go cross-checks them on the fuzz corpus.
-	EngineDominance Engine = iota
-	// EnginePairwise is the original O(k²) expansion, kept as the oracle
-	// for cross-checking and for `ssabench -interference-engine=pairwise`.
-	EnginePairwise
-)
-
-func (e Engine) String() string {
-	if e == EnginePairwise {
-		return "pairwise"
-	}
-	return "dominance"
-}
-
-// DefaultEngine is the engine NewResourceGraph installs; ssabench's
-// -interference-engine flag overrides it process-wide.
-var DefaultEngine = EngineDominance
-
 // ResourceGraph lifts variable interference to resources (§3.3). It
 // consults pin.Resources for membership, so queries remain correct as
 // the coalescer merges classes; resource-level verdicts are memoized
 // keyed on the Resources generation, so repeated probes between merges
 // (the greedy affinity pruning re-asks constantly) cost a map hit.
+//
+// Queries on a class of more than cutoff virtual members run the
+// dominance-ordered sweep; smaller classes take the direct pairwise
+// expansion, which is also the test oracle the sweep is cross-checked
+// against (engines_test.go).
 type ResourceGraph struct {
 	An  *Analysis
 	Res *pin.Resources
 
-	// Engine selects the query implementation; both produce identical
-	// verdicts.
-	Engine Engine
+	// cutoff is sweepCutoff as of NewResourceGraph.
+	cutoff int
 
 	// Sites are the pinned-use clobber points of the function (φ uses
 	// excluded — those are Class 2).
@@ -84,7 +59,7 @@ func NewResourceGraph(an *Analysis, res *pin.Resources) *ResourceGraph {
 	g := &ResourceGraph{
 		An:            an,
 		Res:           res,
-		Engine:        DefaultEngine,
+		cutoff:        sweepCutoff,
 		killedMemo:    make(map[ir.ValueID]killedEntry),
 		interfereMemo: make(map[[2]ir.ValueID]interfereEntry),
 	}
@@ -106,8 +81,9 @@ func NewResourceGraph(an *Analysis, res *pin.Resources) *ResourceGraph {
 // KilledSet implements Resource_killed: the members of v's resource that
 // are killed by some other member (or by themselves, for the lost-copy
 // case), or by a pinned use writing the resource while they are live.
-// The returned set is memoized and must be treated as read-only; it is
-// valid until the next Resources.Union.
+// Classes above the sweep cutoff are answered by killedSweep, the rest
+// by killedPairwise. The returned set is memoized and must be treated
+// as read-only; it is valid until the next Resources.Union.
 func (g *ResourceGraph) KilledSet(v ir.ValueID) *bitset.Set {
 	g.An.c.ResourceKilled++
 	root := g.Res.Find(v)
@@ -116,11 +92,12 @@ func (g *ResourceGraph) KilledSet(v ir.ValueID) *bitset.Set {
 		g.An.c.KilledMemoHits++
 		return e.set
 	}
+	members := g.Res.Members(root)
 	var s *bitset.Set
-	if g.Engine == EnginePairwise {
-		s = g.killedPairwise(root, g.Res.Members(root))
+	if virtualCount(g.An.fn, members) <= g.cutoff {
+		s = g.killedPairwise(root, members)
 	} else {
-		s = g.killedSweep(root)
+		s = g.killedSweep(root, members)
 	}
 	g.killedMemo[root] = killedEntry{gen: gen, set: s}
 	return s
@@ -156,18 +133,23 @@ func (g *ResourceGraph) Interfere(a, b ir.ValueID) bool {
 		g.An.c.InterfereMemoHits++
 		return e.verdict
 	}
+	// The pairwise cost of Interfere is the PRODUCT of the class sizes
+	// (one huge class probed against a singleton is only k queries), so
+	// the cutoff is on the product.
+	ma, mb := g.Res.Members(ra), g.Res.Members(rb)
 	var v bool
-	if g.Engine == EnginePairwise {
-		v = g.interferePairwise(ra, rb, g.Res.Members(ra), g.Res.Members(rb))
+	if virtualCount(g.An.fn, ma)*virtualCount(g.An.fn, mb) <= g.cutoff*g.cutoff {
+		v = g.interferePairwise(ra, rb, ma, mb)
 	} else {
-		v = g.interfereSweep(ra, rb)
+		v = g.interfereSweep(ra, rb, ma, mb)
 	}
 	g.interfereMemo[key] = interfereEntry{gen: gen, verdict: v}
 	return v
 }
 
 // ---------------------------------------------------------------------
-// Pairwise engine: the direct O(k²) expansion of the paper's lifting.
+// Pairwise expansion: the direct O(k²) lifting of the paper, answering
+// small classes and serving as the oracle in tests.
 
 func (g *ResourceGraph) killedPairwise(root ir.ValueID, members []ir.ValueID) *bitset.Set {
 	f := g.An.fn
@@ -254,7 +236,7 @@ func (g *ResourceGraph) interferePairwise(ra, rb ir.ValueID, ma, mb []ir.ValueID
 }
 
 // ---------------------------------------------------------------------
-// Dominance engine.
+// Dominance-ordered sweep.
 //
 // In strict SSA a value live at a program point has its definition
 // dominating that point, so every Class-1 kill pair within a class is an
@@ -419,16 +401,17 @@ func (an *Analysis) killsAtPoint(p *defPoint, victim ir.ValueID) bool {
 	}
 }
 
-// sweepCutoff is the class size (virtual members) at or below which the
-// dominance engine answers with the pairwise expansion: at tiny k the
-// O(k²) loop over memoized sparse-liveness queries is cheaper than
-// mobilizing the sweep (point grouping, pooled sets, chain stack), and
-// most classes stay tiny — the sweep earns its keep on the large pinned
-// classes (SP ties, ABI chains, late-coalescing merges) where k² bites.
-// The crossover was measured with BenchmarkInterferenceQueries; verdicts
-// are identical on both sides of the cutoff (engines_test.go holds for
-// any value of it).
-const sweepCutoff = 8
+// sweepCutoff is the class size (virtual members) at or below which
+// queries take the pairwise expansion: at tiny k the O(k²) loop over
+// memoized sparse-liveness queries is cheaper than mobilizing the sweep
+// (point grouping, pooled sets, chain stack), and most classes stay
+// tiny — the sweep earns its keep on the large pinned classes (SP ties,
+// ABI chains, late-coalescing merges) where k² bites. The crossover was
+// measured with BenchmarkInterferenceQueries. Verdicts are identical on
+// both sides of the cutoff; it is a variable only so that tests can
+// move it (export_test.go): to 0, so the sweep answers every class, or
+// past any class size, so the pairwise oracle answers everything.
+var sweepCutoff = 8
 
 func virtualCount(f *ir.Func, members []ir.ValueID) int {
 	n := 0
@@ -440,13 +423,9 @@ func virtualCount(f *ir.Func, members []ir.ValueID) int {
 	return n
 }
 
-func (g *ResourceGraph) killedSweep(root ir.ValueID) *bitset.Set {
+func (g *ResourceGraph) killedSweep(root ir.ValueID, members []ir.ValueID) *bitset.Set {
 	an := g.An
 	f := an.fn
-	members := g.Res.Members(root)
-	if virtualCount(f, members) <= sweepCutoff {
-		return g.killedPairwise(root, members)
-	}
 	nv := f.NumValues()
 	killed := bitset.New(nv)
 
@@ -536,16 +515,9 @@ func (g *ResourceGraph) killedSweep(root ir.ValueID) *bitset.Set {
 	return killed
 }
 
-func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID) bool {
+func (g *ResourceGraph) interfereSweep(ra, rb ir.ValueID, ma, mb []ir.ValueID) bool {
 	an := g.An
 	f := an.fn
-	ma, mb := g.Res.Members(ra), g.Res.Members(rb)
-	// The pairwise cost of Interfere is the PRODUCT of the class sizes
-	// (one huge class probed against a singleton is only k queries), so
-	// the cutoff is on the product.
-	if virtualCount(f, ma)*virtualCount(f, mb) <= sweepCutoff*sweepCutoff {
-		return g.interferePairwise(ra, rb, ma, mb)
-	}
 	killedA := g.KilledSet(ra)
 	killedB := g.KilledSet(rb)
 	nv := f.NumValues()

@@ -10,15 +10,18 @@ import (
 	"outofssa/internal/liveness"
 	"outofssa/internal/pin"
 	"outofssa/internal/ssa"
+	"outofssa/internal/stats"
 	"outofssa/internal/testprog"
 )
 
 // crossCheckEngines builds two resource graphs over the same function,
-// pins and resource classes — one per engine — and requires bit-for-bit
-// identical Resource_killed sets and Resource_interfere verdicts, both
-// on the initial classes and again after a round of φ-affinity merges
-// (which exercises multi-member classes, the generation-keyed memo
-// invalidation, and the merged-class sweep paths).
+// pins and resource classes — one answering every class with the
+// dominance sweep (cutoff 0, so small classes are swept too), one
+// answering everything with the pairwise oracle — and requires
+// bit-for-bit identical Resource_killed sets and Resource_interfere
+// verdicts, both on the initial classes and again after a round of
+// φ-affinity merges (which exercises multi-member classes, the
+// generation-keyed memo invalidation, and the merged-class sweep paths).
 func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 	t.Helper()
 	cfg.SplitCriticalEdges(f)
@@ -29,10 +32,11 @@ func crossCheckEngines(t *testing.T, f *ir.Func, mode interference.Mode) {
 	live := liveness.Compute(f)
 	dom := cfg.Dominators(f)
 	an := interference.New(f, live, dom, mode)
+	restore := interference.SetSweepCutoff(0)
 	gD := interference.NewResourceGraph(an, res)
-	gD.Engine = interference.EngineDominance
+	interference.SetSweepCutoff(interference.PairwiseEverywhere)
 	gP := interference.NewResourceGraph(an, res)
-	gP.Engine = interference.EnginePairwise
+	restore()
 
 	roots := func() []ir.ValueID {
 		seen := make(map[ir.ValueID]bool)
@@ -148,6 +152,30 @@ func TestEnginesAgreeOnSuites(t *testing.T) {
 	}
 }
 
+// TestPairwiseOracleTable2 regenerates Table 2 with the size-adaptive
+// dispatch the pipeline uses and again with the pairwise oracle
+// answering every class, and requires byte-identical tables: the
+// cross-check above, end to end over the paper's workload. It runs the
+// batch serially and not in parallel with other tests, because the
+// cutoff it moves is package-wide.
+func TestPairwiseOracleTable2(t *testing.T) {
+	prev := stats.Parallel
+	stats.Parallel = 1
+	defer func() { stats.Parallel = prev }()
+	want, err := stats.Table2()
+	if err != nil {
+		t.Fatalf("Table 2: %v", err)
+	}
+	defer interference.SetSweepCutoff(interference.PairwiseEverywhere)()
+	got, err := stats.Table2()
+	if err != nil {
+		t.Fatalf("Table 2, pairwise everywhere: %v", err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("Table 2 diverges under the pairwise oracle:\n--- default\n%s\n--- pairwise\n%s", want, got)
+	}
+}
+
 // fuzzEngineOptions maps the fuzzed size to generator knobs, mirroring
 // the pipeline differential fuzzer so crashers transfer between the two
 // corpora.
@@ -164,7 +192,7 @@ func fuzzEngineOptions(size int64) testprog.RandOptions {
 	}
 }
 
-// FuzzInterferenceEngines fuzzes the dominance engine against the
+// FuzzInterferenceEngines fuzzes the dominance sweep against the
 // pairwise oracle over random functions and all three modes.
 func FuzzInterferenceEngines(f *testing.F) {
 	f.Add(int64(0), int64(0))

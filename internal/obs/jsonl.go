@@ -12,8 +12,7 @@ import (
 //
 //	{"type":"run_start","fn":...,"config":...,"ir":{...}}
 //	{"type":"pass","fn":...,"config":...,"pass":...,"seq":N,
-//	 "wall_ns":N,"alloc_bytes":N,"mallocs":N,
-//	 "before":{...},"after":{...},"counters":{...},"err":...}
+//	 "wall_ns":N,"before":{...},"after":{...},"counters":{...},"err":...}
 //	{"type":"run_end","fn":...,"config":...,"passes":N,
 //	 "wall_ns":N,"ir":{...}}
 //

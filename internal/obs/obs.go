@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the out-of-SSA
-// pipeline: per-pass tracing events carrying wall time, allocation
-// deltas and IR provenance (move/instruction/φ/pin counts before and
-// after each pass), plus pluggable sinks — a human-readable summary
+// pipeline: per-pass tracing events carrying wall time and IR
+// provenance (move/instruction/φ/pin counts before and after each
+// pass), plus pluggable sinks — a human-readable summary
 // writer, a JSONL event stream for machine diffing, and a no-op tracer.
 // The metrics registry is fed the same way: internal/pipeline attaches
 // it as one more sink of this stream, so traces and metrics are two
@@ -63,11 +63,6 @@ type Event struct {
 	Seq  int    `json:"seq"`
 	// WallNS is the pass wall-clock time in nanoseconds.
 	WallNS int64 `json:"wall_ns"`
-	// AllocBytes and Mallocs are runtime.MemStats deltas (TotalAlloc,
-	// Mallocs) across the pass — cumulative counters, so unaffected by
-	// garbage collection, but shared with any concurrent goroutines.
-	AllocBytes uint64 `json:"alloc_bytes"`
-	Mallocs    uint64 `json:"mallocs"`
 	// Before and After are IR snapshots around the pass.
 	Before IRStat `json:"before"`
 	After  IRStat `json:"after"`

@@ -94,7 +94,7 @@ func TestSummaryRendersTable(t *testing.T) {
 	s.PassStart("fir", "Lphi+C", "ssaopt")
 	s.PassEnd(&obs.Event{
 		Func: "fir", Config: "Lphi+C", Pass: "ssaopt",
-		WallNS: 1500, AllocBytes: 2048,
+		WallNS:   1500,
 		Before:   obs.IRStat{Moves: 5, Instrs: 30, Phis: 2},
 		After:    obs.IRStat{Moves: 3, Instrs: 28, Phis: 2},
 		Counters: map[string]int64{"ssaopt.Rounds": 2},

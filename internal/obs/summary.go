@@ -7,8 +7,8 @@ import (
 )
 
 // Summary is a Tracer rendering one human-readable per-pass table per
-// run: wall time, allocation volume, and the move/instruction/φ/pin
-// deltas each pass caused. Attach it with laoc -trace.
+// run: wall time and the move/instruction/φ/pin deltas each pass
+// caused. Attach it with laoc -trace.
 type Summary struct {
 	w io.Writer
 	// Verbose additionally prints the pass-specific counters under each
@@ -34,13 +34,12 @@ func (s *Summary) RunEnd(fn, config string, after IRStat, wallNS int64) {
 	}
 	fmt.Fprintf(s.w, "; trace %s: %d passes, %v total\n",
 		label, len(s.events), time.Duration(wallNS).Round(time.Microsecond))
-	fmt.Fprintf(s.w, ";   %-18s %10s %10s %7s %7s %7s %7s %6s %6s\n",
-		"pass", "wall", "alloc", "moves", "Δmoves", "instrs", "Δinstr", "phis", "pins")
+	fmt.Fprintf(s.w, ";   %-18s %10s %7s %7s %7s %7s %6s %6s\n",
+		"pass", "wall", "moves", "Δmoves", "instrs", "Δinstr", "phis", "pins")
 	for _, ev := range s.events {
-		fmt.Fprintf(s.w, ";   %-18s %10v %10s %7d %+7d %7d %+7d %6d %6d\n",
+		fmt.Fprintf(s.w, ";   %-18s %10v %7d %+7d %7d %+7d %6d %6d\n",
 			ev.Pass,
 			time.Duration(ev.WallNS).Round(time.Microsecond),
-			sizeOf(ev.AllocBytes),
 			ev.After.Moves, ev.After.Moves-ev.Before.Moves,
 			ev.After.Instrs, ev.After.Instrs-ev.Before.Instrs,
 			ev.After.Phis, ev.After.Pins)
@@ -54,17 +53,5 @@ func (s *Summary) RunEnd(fn, config string, after IRStat, wallNS int64) {
 				fmt.Fprintf(s.w, ";     %-40s %10d\n", k, ev.Counters[k])
 			}
 		}
-	}
-}
-
-// sizeOf renders a byte count compactly (B/kB/MB).
-func sizeOf(n uint64) string {
-	switch {
-	case n >= 10*1024*1024:
-		return fmt.Sprintf("%dMB", n/(1024*1024))
-	case n >= 10*1024:
-		return fmt.Sprintf("%dkB", n/1024)
-	default:
-		return fmt.Sprintf("%dB", n)
 	}
 }

@@ -30,9 +30,8 @@ func batchJobs() []pipeline.Job {
 	return jobs
 }
 
-// flatten renders a recorded trace stream with its measurement fields
-// (wall time, allocations) masked out: those differ between any two
-// runs, serial or not. Everything else — run order, pass order,
+// flatten renders a recorded trace stream with its wall times masked
+// out: those differ between any two runs, serial or not. Everything else — run order, pass order,
 // counters, snapshots — must be byte-identical across parallelism.
 func flatten(rec *obs.Recorder) []string {
 	var out []string

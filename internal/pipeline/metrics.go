@@ -24,10 +24,8 @@ const (
 	// MetricRunWallNS is the whole-run wall-time distribution per
 	// experiment configuration (includes instrumentation overhead).
 	MetricRunWallNS = "laoc_pipeline_run_wall_ns"
-	// MetricPassWallNS / MetricPassAllocBytes are the per-pass
-	// wall-time and allocation-volume distributions.
-	MetricPassWallNS     = "laoc_pipeline_pass_wall_ns"
-	MetricPassAllocBytes = "laoc_pipeline_pass_alloc_bytes"
+	// MetricPassWallNS is the per-pass wall-time distribution.
+	MetricPassWallNS = "laoc_pipeline_pass_wall_ns"
 	// MetricPassErrors counts failed passes (errors, contained panics,
 	// checked-mode violations) per pass; MetricPanics the contained
 	// panics among them; MetricFallbacks the runs rescued by the naive
@@ -102,7 +100,7 @@ func init() {
 }
 
 // WithMetrics attaches a metrics registry to one Run call. The per-pass
-// metrics — wall/alloc histograms, error and panic counters, the pass
+// metrics — the wall histogram, error and panic counters, the pass
 // counters — and the run wall histogram come from a sink added to the
 // run's tracer chain; the run outcomes (runs, fallbacks, MAXLIVE) are
 // recorded by the run itself. The sink is built, and the HELP strings
@@ -130,7 +128,6 @@ func newMetricsSink(reg *metrics.Registry) *metricsSink {
 	reg.SetHelp(MetricRuns, "Pipeline runs started, by experiment configuration.")
 	reg.SetHelp(MetricRunWallNS, "Whole-run wall time in nanoseconds, by experiment configuration.")
 	reg.SetHelp(MetricPassWallNS, "Per-pass wall time in nanoseconds.")
-	reg.SetHelp(MetricPassAllocBytes, "Per-pass heap allocation volume in bytes (runtime.MemStats TotalAlloc delta).")
 	reg.SetHelp(MetricPassErrors, "Failed passes: errors, contained panics, checked-mode violations.")
 	reg.SetHelp(MetricPanics, "Panics contained by the per-pass recover.")
 	reg.SetHelp(MetricFallbacks, "Runs that fell back to the naive out-of-SSA translation.")
@@ -149,7 +146,6 @@ func (*metricsSink) PassStart(string, string, string)    {}
 func (s *metricsSink) PassEnd(ev *obs.Event) {
 	pass := metrics.L("pass", ev.Pass)
 	s.reg.Histogram(MetricPassWallNS, pass).Observe(ev.WallNS)
-	s.reg.Histogram(MetricPassAllocBytes, pass).Observe(int64(ev.AllocBytes))
 	for k, v := range ev.Counters {
 		s.reg.Counter(MetricPassCounters, pass,
 			metrics.L("counter", strings.TrimPrefix(k, ev.Pass+"."))).Add(v)

@@ -8,7 +8,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"outofssa/internal/analysis"
@@ -135,8 +134,7 @@ type runConfig struct {
 
 // WithTracer adds tr to the run's tracer chain and so attaches the
 // instrumented pass runner: every executed pass is reported as an
-// obs.Event carrying wall time, allocation deltas and IR before/after
-// snapshots. With no tracer (and no registry) the run takes the
+// obs.Event carrying wall time and IR before/after snapshots. With no tracer (and no registry) the run takes the
 // unmeasured fast path — no snapshots, no clock reads.
 func WithTracer(tr obs.Tracer) Option {
 	return func(rc *runConfig) { rc.tracer = obs.Multi(rc.tracer, tr) }
@@ -411,8 +409,8 @@ func (conf Config) passes(f *ir.Func, info *ssa.Info, r *Result) []pass {
 // opts it is a plain loop — no snapshots, no clock reads, no
 // allocations beyond what the passes themselves do. With a tracer
 // (which includes the metrics sink WithMetrics adds) it brackets the
-// run and every pass with measurements: per-pass wall time,
-// runtime.MemStats allocation deltas, and IR snapshots. One snapshot
+// run and every pass with measurements: per-pass wall time and IR
+// snapshots. One snapshot
 // is taken per pass boundary: a pass's Before is the previous pass's
 // After (the RunStart snapshot for the first pass), and RunEnd reuses
 // the last After — only the verifier and the fault hook run between
@@ -443,7 +441,6 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 	runStart := time.Now()
 	state := obs.Snapshot(f)
 	tr.RunStart(f.Name, exp, state)
-	var ms0, ms1 runtime.MemStats
 	for i := range ps {
 		p := &ps[i]
 		// Cancellation is not a pass failure: it emits no event, the
@@ -452,21 +449,17 @@ func runPasses(f *ir.Func, exp string, ps []pass, tr obs.Tracer, opts runOpts) e
 			return err
 		}
 		tr.PassStart(f.Name, exp, p.name)
-		runtime.ReadMemStats(&ms0)
 		t0 := time.Now()
 		err := runOne(f, exp, p, opts)
 		wall := time.Since(t0)
-		runtime.ReadMemStats(&ms1)
 		ev := &obs.Event{
-			Func:       f.Name,
-			Config:     exp,
-			Pass:       p.name,
-			Seq:        i,
-			WallNS:     wall.Nanoseconds(),
-			AllocBytes: ms1.TotalAlloc - ms0.TotalAlloc,
-			Mallocs:    ms1.Mallocs - ms0.Mallocs,
-			Before:     state,
-			Cause:      err,
+			Func:   f.Name,
+			Config: exp,
+			Pass:   p.name,
+			Seq:    i,
+			WallNS: wall.Nanoseconds(),
+			Before: state,
+			Cause:  err,
 		}
 		state = obs.Snapshot(f)
 		ev.After = state
